@@ -1083,12 +1083,14 @@ class QuerySet:
             if all(own):
                 secret_instances.setdefault(jid, instance)
 
-        groups_by_key = {group.key: group for group in meta.policy_groups}
         resolve = self._label_resolver(
             form,
             viewer,
-            resolve_label=lambda name: self._resolve_with_hint(
-                form, name, viewer, prefix, groups_by_key, secret_instances
+            resolve_label=lambda name: _resolve_label(
+                form,
+                name,
+                viewer,
+                secret_instances if name.startswith(prefix) else None,
             ),
         )
         result: List[Any] = []
@@ -1096,40 +1098,6 @@ class QuerySet:
             if all(resolve(name) == polarity for name, polarity in branches):
                 result.append(instance)
         return result
-
-    @staticmethod
-    def _resolve_with_hint(
-        form: FORM,
-        label_name: str,
-        viewer: Any,
-        prefix: str,
-        groups_by_key: Dict[str, Any],
-        secret_instances: Dict[int, Any],
-    ) -> bool:
-        hint_group = None
-        hint_instance = None
-        if label_name.startswith(prefix):
-            parts = label_name.split(".")
-            if len(parts) == 3:
-                hint_group = groups_by_key.get(parts[2])
-                hint_instance = secret_instances.get(int(parts[1]))
-        if hint_group is None or hint_instance is None:
-            return _resolve_label(form, label_name, viewer)
-
-        # Same re-entrancy guard as _resolve_label: a policy that queries the
-        # data it guards sees its own label optimistically as visible.
-        resolving = _resolving_labels(form)
-        key = (label_name, id(viewer))
-        if key in resolving:
-            return True
-        resolving.add(key)
-        try:
-            outcome = evaluate_policy(hint_group.method, hint_instance, viewer)
-            if isinstance(outcome, Facet):
-                outcome = form.runtime.concretize(outcome, viewer)
-            return bool(outcome)
-        finally:
-            resolving.discard(key)
 
 
 class Manager:
@@ -1423,13 +1391,23 @@ def _policy_closure(model: Type, jid: int, group, form: FORM):
     return policy
 
 
-def _resolve_label(form: FORM, label_name: str, viewer: Any) -> bool:
+def _resolve_label(
+    form: FORM,
+    label_name: str,
+    viewer: Any,
+    instances: Optional[Dict[int, Any]] = None,
+) -> bool:
     """Resolve one label for a known viewer (Early Pruning).
 
     Labels named by the FORM convention ``Table.jid.group`` are resolved by
     evaluating the model's policy directly; other labels (e.g. created by
     application code through the runtime) fall back to the runtime's policy
     environment.
+
+    ``instances`` maps jids of the label's own table to secret instances
+    the caller has already read (Early Pruning's fetched rows, the label
+    store's table scan).  A hit is evaluated against its own model's
+    policy group; a miss re-reads the record (:func:`_secret_instance`).
 
     Policies may depend on the data they guard (the guest-list example of
     Section 2.3): evaluating such a policy issues a query whose pruning asks
@@ -1444,26 +1422,36 @@ def _resolve_label(form: FORM, label_name: str, viewer: Any) -> bool:
         return True
     resolving.add(key)
     try:
-        return _resolve_label_inner(form, label_name, viewer)
+        return _resolve_label_inner(form, label_name, viewer, instances)
     finally:
         resolving.discard(key)
 
 
-def _resolve_label_inner(form: FORM, label_name: str, viewer: Any) -> bool:
+def _resolve_label_inner(
+    form: FORM,
+    label_name: str,
+    viewer: Any,
+    instances: Optional[Dict[int, Any]],
+) -> bool:
     parts = label_name.split(".")
     if len(parts) == 3:
         table, jid_text, group_key = parts
-        from repro.form.model import ModelRegistry
+        row = instances.get(int(jid_text)) if instances is not None else None
+        if row is not None:
+            model = type(row)
+        else:
+            from repro.form.model import ModelRegistry
 
-        try:
-            model = ModelRegistry.get(table)
-        except LookupError:
-            model = None
+            try:
+                model = ModelRegistry.get(table)
+            except LookupError:
+                model = None
         if model is not None:
             meta = model._meta
             group = next((g for g in meta.policy_groups if g.key == group_key), None)
             if group is not None:
-                row = _secret_instance(model, int(jid_text), form)
+                if row is None:
+                    row = _secret_instance(model, int(jid_text), form)
                 if row is None:
                     return False
                 outcome = evaluate_policy(group.method, row, viewer)

@@ -17,7 +17,10 @@ and the *database engine* prunes -- one SQL statement for
 Correctness is by construction, not by re-deriving policies in SQL: the
 store is populated by the same :func:`repro.form.manager._resolve_label`
 pipeline the Python path uses (the Python path stays both the fallback and
-the differential-testing oracle, see ``tests/fuzz/``).  Because label names
+the differential-testing oracle, see ``tests/fuzz/``).  Population is set
+at a time: one table scan, then each distinct label evaluated once against
+the pre-read secret instance -- two statements per refill (the scan and
+the slice swap) at any table size.  Because label names
 embed the record (``Table.jid.group``) and :func:`repro.form.marshal.format_jvars`
 canonicalises branch order, a non-empty ``jvars`` string identifies its
 label assignment exactly, so membership of the *string* decides visibility
@@ -42,8 +45,8 @@ Invalidation (epoch coherence):
   :func:`repro.cache.epoch.bump_policy_epoch` -- the same contract the
   label cache already imposes.
 
->>> _is_model_label("not a label")
-False
+>>> _label_parts("not a label") is None
+True
 >>> _viewer_key_text(("User", 3))
 "('User', 3)"
 """
@@ -108,22 +111,32 @@ def _viewer_key_text(viewer_key: Hashable) -> str:
     return repr(viewer_key)
 
 
-def _is_model_label(name: str) -> bool:
-    """Whether a label follows the FORM convention and resolves to a
-    registered model's policy group.
+def _label_parts(name: str) -> Optional[Tuple[str, int, str]]:
+    """``(table, jid, group key)`` of a ``Table.jid.group`` label name, or
+    ``None`` when the name does not follow the FORM convention.
+
+    >>> _label_parts("Paper.3.title")
+    ('Paper', 3, 'title')
+    """
+    parts = name.split(".")
+    if len(parts) != 3:
+        return None
+    table, jid_text, group_key = parts
+    try:
+        jid = int(jid_text)
+    except ValueError:
+        return None
+    return table, jid, group_key
+
+
+def _is_model_group(table: str, group_key: str) -> bool:
+    """Whether a label's ``(table, group key)`` names a registered model's
+    policy group.
 
     Anything else (pc labels pushed by application code, ad-hoc value-facet
     labels) has no write/epoch invalidation hook the store could subscribe
     to, so tables carrying such labels stay on the Python path.
     """
-    parts = name.split(".")
-    if len(parts) != 3:
-        return False
-    table, jid_text, group_key = parts
-    try:
-        int(jid_text)
-    except ValueError:
-        return False
     from repro.form.model import ModelRegistry
 
     try:
@@ -331,10 +344,11 @@ class LabelAssignmentStore:
     One instance per FORM, subscribed (weakly) to the database's
     invalidation bus.  ``ensure()`` is the only populater: it snapshots the
     validity stamps *before* reading, resolves every distinct non-empty
-    jvars encoding through the Python resolver, and swaps the viewer's
-    slice of the store atomically with ``replace_rows`` -- so a write
-    racing the population can only make the recorded stamps stale, never
-    leave a stale store looking valid.
+    jvars encoding through the Python resolver (one table scan, then each
+    distinct label evaluated once against the pre-read secret instance),
+    and swaps the viewer's slice of the store atomically with
+    ``replace_rows`` -- so a write racing the population can only make the
+    recorded stamps stale, never leave a stale store looking valid.
     """
 
     def __init__(self) -> None:
@@ -402,6 +416,10 @@ class LabelAssignmentStore:
     def ensure(self, form: Any, model: type, viewer: Any, viewer_key: Hashable) -> bool:
         """Make the store current for ``(model's table, viewer)``.
 
+        A refill is one table scan, then each distinct label evaluated
+        once against the pre-read secret instance (:meth:`_visible_jvars`),
+        then one ``replace_rows`` swap of the viewer's slice.
+
         Returns ``True`` when the store can serve the pruning predicate;
         ``False`` when population failed (some stored label does not follow
         the model convention) and the caller must fall back.
@@ -424,7 +442,7 @@ class LabelAssignmentStore:
             broad_mark = self._any_write
             self._local.active = True
             try:
-                outcome = self._visible_jvars(form, meta, viewer)
+                outcome = self._visible_jvars(form, model, viewer)
             finally:
                 self._local.active = False
             profile = profile_for(model)
@@ -449,40 +467,71 @@ class LabelAssignmentStore:
             return ok
 
     def _visible_jvars(
-        self, form: Any, meta: Any, viewer: Any
+        self, form: Any, model: type, viewer: Any
     ) -> Optional[Tuple[List[str], bool]]:
         """Resolve every distinct non-empty jvars encoding of a table.
 
         Returns ``(visible encodings, only own-table labels seen)``, or
         ``None`` when an encoding mentions a label the store cannot keep
-        coherent (population failure -> Python fallback).  Resolution goes
-        through the exact oracle pipeline (:func:`_resolve_label`), memoised
-        per label for the scan.
-        """
-        from repro.form.manager import _resolve_label
+        coherent (population failure -> Python fallback).
 
-        query = (
-            Query(table=meta.table_name)
-            .select("jvars")
-            .filter(ne("jvars", ""))
-            .distinct_rows()
-        )
-        rows = form.database.execute(query)
-        prefix = f"{meta.table_name}."
+        One table scan, then each distinct label evaluated once against the
+        pre-read secret instance.  The scan reads every row of each record
+        that has a faceted row, so it yields both the encodings and, per
+        record, the facet rows :func:`repro.form.writes.secret_row` picks
+        the secret facet from (in the order a per-record ``find`` returns
+        them).  Resolution goes through the exact oracle pipeline
+        (:func:`_resolve_label`); labels of other tables, and of records
+        the scan did not see, fall back to its point lookup.  The
+        model-label check runs once per distinct ``Table.group``.
+        """
+        from repro.form import writes
+        from repro.form.manager import _instance_from_row, _resolve_label
+
+        table = model._meta.table_name
+        rows_by_jid: Dict[int, List[Dict[str, Any]]] = {}
+        encodings: Dict[str, None] = {}
+        # Only records with a faceted row carry labels, so a mostly public
+        # table is not materialised row by row.
+        faceted = Query(table=table).select("jid").filter(ne("jvars", ""))
+        scan = Query(table=table, where=InSubquery(ColumnRef("jid"), faceted))
+        for row in form.database.execute(scan):
+            rows_by_jid.setdefault(int(row["jid"]), []).append(row)
+            encoded = row.get("jvars")
+            if encoded:
+                encodings[encoded] = None
+        prefix = f"{table}."
+        instances: Dict[int, Any] = {}
+        model_groups: Dict[Tuple[str, str], bool] = {}
         memo: Dict[str, bool] = {}
         visible: List[str] = []
         only_own = True
-        for row in rows:
-            encoded = row.get("jvars")
+        for encoded in encodings:
             keep = True
             for name, polarity in parse_jvars(encoded):
-                if not name.startswith(prefix):
+                own = name.startswith(prefix)
+                if not own:
                     only_own = False
                 outcome = memo.get(name)
                 if outcome is None:
-                    if not _is_model_label(name):
+                    parts = _label_parts(name)
+                    if parts is None:
                         return None
-                    outcome = bool(_resolve_label(form, name, viewer))
+                    label_table, jid, group_key = parts
+                    group = (label_table, group_key)
+                    if group not in model_groups:
+                        model_groups[group] = _is_model_group(*group)
+                    if not model_groups[group]:
+                        return None
+                    if own and jid not in instances and jid in rows_by_jid:
+                        instances[jid] = _instance_from_row(
+                            model, writes.secret_row(rows_by_jid[jid])
+                        )
+                    outcome = bool(
+                        _resolve_label(
+                            form, name, viewer, instances if own else None
+                        )
+                    )
                     memo[name] = outcome
                 if outcome != polarity:
                     keep = False

@@ -24,6 +24,7 @@ import pytest
 from repro import obs
 from repro.cache.config import CacheConfig
 from repro.cache.epoch import bump_policy_epoch
+from repro.cache.label_cache import viewer_cache_key
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend, StatementLog
 from repro.form import (
@@ -136,7 +137,26 @@ class Badge(JModel):
         return badge.code == getattr(ctxt, "name", None)
 
 
-MODELS = [Owner, Doc, Audit, Vault, Wiki, Badge]
+class Diary(JModel):
+    """A policy that queries its own table: eligible but broad, and store
+    population re-enters the label being resolved (the guest-list shape)."""
+
+    owner = ForeignKey(Owner)
+    body = CharField(max_length=64)
+
+    @staticmethod
+    def jacqueline_get_public_body(entry):
+        return "[diary]"
+
+    @staticmethod
+    @label_for("body")
+    @jacqueline
+    def jacqueline_restrict_body(entry, ctxt):
+        own = Diary.objects.get(jid=entry.jid)
+        return own is not None and ctxt is not None and own.owner_id == ctxt.jid
+
+
+MODELS = [Owner, Doc, Audit, Vault, Wiki, Badge, Diary]
 
 
 @pytest.fixture(autouse=True)
@@ -494,3 +514,124 @@ def test_clear_resets_the_store(pushdown_form):
     Doc.objects.create(owner=ada, title="fresh", score=1)
     with viewer_context(ada):
         assert [doc.title for doc in Doc.objects.all().fetch()] == ["fresh"]
+
+
+# -- set-at-a-time store population ----------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+def test_store_refill_is_one_scan_at_any_table_size(kind):
+    for records in (8, 64):
+        form, database = _make_form(kind)
+        form.policy_pushdown_tier_cap = "store"
+        with use_form(form):
+            ada = Owner.objects.create(name="ada")
+            bob = Owner.objects.create(name="bob")
+            for index in range(records):
+                Doc.objects.create(
+                    owner=ada if index % 2 else bob, title=f"t{index}", score=index
+                )
+            store = form.pushdown_store
+            key = viewer_cache_key(ada)
+            with viewer_context(ada):
+                assert store.ensure(form, Doc, ada, key)  # creates the store table
+                bump_policy_epoch()  # invalidate: the next ensure refills
+                with obs.tracing(), database.observe_statements() as log:
+                    assert store.ensure(form, Doc, ada, key)
+        database.close()
+        # One scan of the model table plus the atomic slice swap, however
+        # many labels the table holds; each label is evaluated once.
+        assert [event.kind for event in log.events] == ["SELECT", "REPLACE"], (
+            records, log.statements,
+        )
+        assert obs.totals.get("pushdown.store.refresh") == 1
+        assert obs.totals.get("policy.evaluations") == records
+        obs.reset()
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def shipped_form(request):
+    """The shipped ``CacheConfig()`` with every policied read at the store tier."""
+    form, database = _make_form(request.param, cache_config=CacheConfig())
+    form.policy_pushdown_tier_cap = "store"
+    with use_form(form):
+        yield form
+    database.close()
+
+
+def _model_label(record, group):
+    name = f"{type(record)._meta.table_name}.{record.jid}.{group}"
+    return Label(hint=name, name=name)
+
+
+def _assert_store_parity(form, model, viewers, view):
+    """Every viewer's store-served ``fetch()`` equals the Python oracle's."""
+    for viewer in viewers:
+        obs.reset()
+        with obs.tracing(), viewer_context(viewer):
+            served = sorted(view(item) for item in model.objects.all().fetch())
+            assert obs.totals.get("plan.policy_pushdown") == 1
+            oracle = _oracle(
+                form,
+                lambda: sorted(view(item) for item in model.objects.all().fetch()),
+            )
+        assert served == oracle, (viewer.name, served, oracle)
+
+
+def _doc_view(doc):
+    return (doc.jid, doc.title, doc.score)
+
+
+def test_record_without_an_all_true_row_matches_the_oracle(shipped_form):
+    ada, bob = _seed_docs(shipped_form)
+    first = Doc.objects.create(owner=bob, title="first", score=4)
+    # Written under a negative model-label branch: no facet row of the new
+    # record is satisfied by the all-True assignment (secret_row fallback).
+    with shipped_form.runtime.under_branch(_model_label(first, "title"), False):
+        Doc.objects.create(owner=ada, title="shadow", score=5)
+    _assert_store_parity(shipped_form, Doc, [ada, bob], _doc_view)
+
+
+def test_jvars_naming_another_models_label_matches_the_oracle(shipped_form):
+    ada, bob = _seed_docs(shipped_form)
+    badge = Badge.objects.create(code=1, body="b")
+    with shipped_form.runtime.under_branch(_model_label(badge, "body"), True):
+        Doc.objects.create(owner=ada, title="cross", score=6)
+    _assert_store_parity(shipped_form, Doc, [ada, bob], _doc_view)
+
+
+def test_policy_querying_its_own_table_matches_the_oracle(shipped_form):
+    ada, bob = _seed_docs(shipped_form)
+    assert profile_for(Diary).tier == "store"
+    Diary.objects.create(owner=ada, body="ada's day")
+    Diary.objects.create(owner=bob, body="bob's day")
+    _assert_store_parity(
+        shipped_form, Diary, [ada, bob], lambda entry: (entry.jid, entry.body)
+    )
+
+
+def test_label_of_a_deleted_record_matches_the_oracle(shipped_form):
+    ada, bob = _seed_docs(shipped_form)
+    doomed = Doc.objects.create(owner=bob, title="doomed", score=8)
+    with shipped_form.runtime.under_branch(_model_label(doomed, "title"), True):
+        Doc.objects.create(owner=ada, title="orphan", score=9)
+    Doc.objects.filter(score=8).delete()
+    _assert_store_parity(shipped_form, Doc, [ada, bob], _doc_view)
+
+
+def _audit_view(audit):
+    return (audit.jid, audit.body)
+
+
+def test_write_fetch_churn_matches_the_oracle(shipped_form):
+    ada, bob = _seed_docs(shipped_form)
+    Audit.objects.create(owner=ada, body="first")
+    _assert_store_parity(shipped_form, Audit, [ada, bob], _audit_view)
+    for round_ in range(2):
+        Audit.objects.create(owner=bob, body=f"round {round_}")
+        Owner.objects.create(name=f"carol{round_}")  # broad: any write counts
+        obs.reset()
+        with obs.tracing(), viewer_context(ada):
+            Audit.objects.all().fetch()
+        assert obs.totals.get("pushdown.store.refresh") == 1
+        _assert_store_parity(shipped_form, Audit, [ada, bob], _audit_view)
