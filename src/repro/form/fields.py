@@ -145,6 +145,11 @@ class ForeignKey(Field):
     def column_name(self) -> str:
         return f"{self.name}_id"
 
+    @property
+    def cache_name(self) -> str:
+        """The instance slot caching the resolved target."""
+        return f"_fk_cache_{self.name}"
+
     def target_model(self) -> Type["JModel"]:
         """Resolve the referenced model (supports string forward references)."""
         if isinstance(self._to, str):

@@ -63,6 +63,11 @@ class DoesNotExist(Exception):
     """Raised by :meth:`Manager.get_or_raise` when no record matches."""
 
 
+#: The filter lookup selecting a set of records by jid, compiled to
+#: ``jid IN (...)``: ``Model.objects.filter(jid__in=[1, 2])``.
+_JID_IN = "jid__in"
+
+
 #: Which per-partition SQL aggregates each user-facing function needs.  AVG
 #: cannot merge from per-partition averages, so it ships (SUM, COUNT) and
 #: divides after the faceted merge.
@@ -123,7 +128,9 @@ class QuerySet:
         """Execute the query.
 
         Returns a plain list of instances inside a viewer context, or a
-        faceted collection otherwise.
+        faceted collection otherwise.  The instances of a viewer-context
+        list share one :class:`FkBatch`, so their foreign keys resolve per
+        list rather than per instance.
         """
         form = current_form()
         with obs.span("form.fetch", model=self.model._meta.table_name):
@@ -136,8 +143,11 @@ class QuerySet:
                     # already kept exactly the facet rows visible to this
                     # viewer -- no Python-side label resolution.
                     obs.add("plan.policy_pushdown")
-                    return [instance for _jid, _branches, instance in entries]
-                return self._pruned(form, entries, viewer)
+                    result = [instance for _jid, _branches, instance in entries]
+                else:
+                    result = self._pruned(form, entries, viewer)
+                FkBatch.attach(form, viewer, result)
+                return result
             obs.add("worlds.merged", len(entries))
             return build_faceted_collection(
                 [(branches, instance) for _jid, branches, instance in entries]
@@ -701,7 +711,7 @@ class QuerySet:
         """
         query = Query(table=meta.table_name)
         joined: List[str] = []
-        has_join = any("__" in lookup for lookup in self.filters)
+        has_join = any("__" in lookup and lookup != _JID_IN for lookup in self.filters)
         for lookup, value in self.filters.items():
             query = self._apply_filter(meta, query, joined, lookup, value, has_join)
         return query, joined
@@ -975,6 +985,9 @@ class QuerySet:
     ) -> Query:
         from repro.form.model import JModel
 
+        if lookup == _JID_IN:
+            column = f"{meta.table_name}.jid" if has_join else "jid"
+            return query.filter(InList(col(column), tuple(value)))
         if "__" in lookup:
             fk_name, _, related = lookup.partition("__")
             field = meta.fields.get(fk_name)
@@ -1350,6 +1363,86 @@ def _instance_from_row(model: Type, values: Dict[str, Any]) -> Any:
         raw = values.get(column)
         setattr(instance, column, field.from_db(raw))
     return instance
+
+
+class FkBatch:
+    """The instances of one viewer-context fetch, resolving foreign keys
+    together (the list-level answer to the N+1 lookup).
+
+    The first access to foreign key ``f`` on a member that has not cached
+    it resolves ``f`` for every pending member at once: one
+    ``jid IN (...)`` fetch of the target model per chunk of
+    :func:`repro.form.writes.chunked` jids, pruned for the recorded viewer
+    by the ordinary :meth:`QuerySet.fetch`.  A missing or invisible target
+    resolves to ``None``, as :meth:`Manager.get_by_jid` reports it.  A
+    member is pending while ``f`` is uncached and its column holds a plain
+    jid (not ``None``, not a :class:`Facet`); siblings are resolved as of
+    that first access, so a later change to a sibling's column or target
+    is not seen, just as a member's own cached target does not see it.
+
+    :meth:`resolve` declines -- the caller takes the per-instance
+    ``get_by_jid`` -- for a member that is not pending; under another
+    viewer or FORM than the fetch's; and inside a policy evaluation, where
+    the re-entrancy guard's optimistic answer for the label in flight must
+    reach the policy exactly as a ``get`` sees it.
+    """
+
+    __slots__ = ("form", "viewer", "instances")
+
+    #: :meth:`resolve`'s answer when the caller must resolve its own instance.
+    DECLINED = object()
+
+    def __init__(self, form: FORM, viewer: Any, instances: List[Any]) -> None:
+        self.form = form
+        self.viewer = viewer
+        # A copy: the caller owns the returned list (``list.sort`` even
+        # empties it while a sort key reads a foreign key).
+        self.instances = list(instances)
+
+    @classmethod
+    def attach(cls, form: FORM, viewer: Any, instances: List[Any]) -> None:
+        """Share one batch among ``instances`` when there is anything to batch."""
+        if len(instances) < 2 or not any(
+            isinstance(field, ForeignKey) for field in instances[0]._meta.fields.values()
+        ):
+            return
+        batch = cls(form, viewer, instances)
+        for instance in instances:
+            instance.__dict__["_fk_batch"] = batch
+
+    @staticmethod
+    def _pending(instance: Any, field: ForeignKey) -> bool:
+        return field.cache_name not in instance.__dict__ and not isinstance(
+            instance.__dict__.get(field.column_name), (type(None), Facet)
+        )
+
+    def resolve(self, instance: Any, field: ForeignKey) -> Any:
+        """``instance``'s target for ``field``, filling every pending member
+        with one fetch; :attr:`DECLINED` when the caller must resolve it."""
+        if (
+            not self._pending(instance, field)
+            or current_viewer() is not self.viewer
+            or current_form() is not self.form
+            or _resolving_labels(self.form)
+        ):
+            return self.DECLINED
+        cache_name = field.cache_name
+        column = field.column_name
+        pending = [instance] + [
+            member for member in self.instances
+            if member is not instance and self._pending(member, field)
+        ]
+        jids = sorted({member.__dict__[column] for member in pending})
+        target = field.target_model()
+        resolved: Dict[Any, Any] = {}
+        with obs.span("form.fk.batch", model=target._meta.table_name):
+            for chunk in writes.chunked(jids):
+                for record in QuerySet(target, {_JID_IN: chunk}).fetch():
+                    resolved.setdefault(record.jid, record)
+        obs.add("fk.batch", len(pending))
+        for member in pending:
+            member.__dict__[cache_name] = resolved.get(member.__dict__[column])
+        return instance.__dict__[cache_name]
 
 
 def _secret_instance(model: Type, jid: int, form: FORM) -> Any:

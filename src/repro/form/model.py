@@ -208,7 +208,7 @@ class JModel(metaclass=ModelMeta):
     def _set_field(self, name: str, field: Field, value: Any) -> None:
         if isinstance(field, ForeignKey):
             if isinstance(value, JModel) or isinstance(value, Facet):
-                object.__setattr__(self, f"_fk_cache_{name}", value)
+                object.__setattr__(self, field.cache_name, value)
                 setattr(self, field.column_name, field.to_db(value) if not isinstance(value, Facet) else value)
             else:
                 setattr(self, field.column_name, value)
@@ -239,15 +239,29 @@ class JModel(metaclass=ModelMeta):
     # -- foreign key resolution ----------------------------------------------------------
 
     def __getattr__(self, name: str) -> Any:
+        """Resolve a foreign key to its viewer-pruned target, cached on the
+        instance.  Instances of a viewer-context ``fetch()`` list resolve
+        per list: the first access to ``name`` on any of them fills every
+        uncached sibling with one ``jid IN (...)`` fetch
+        (:class:`repro.form.manager.FkBatch`), so a sibling reads its target
+        as of that first access, just as a lone instance reads it as of its
+        own.  Accesses the batch declines, and every other instance, use
+        ``get_by_jid``.
+        """
         meta = type(self).__dict__.get("_meta") or type(self)._meta
         field = meta.fields.get(name)
         if isinstance(field, ForeignKey):
-            cache_name = f"_fk_cache_{name}"
+            cache_name = field.cache_name
             if cache_name in self.__dict__:
                 return self.__dict__[cache_name]
             target_jid = self.__dict__.get(field.column_name)
             if target_jid is None:
                 return None
+            batch = self.__dict__.get("_fk_batch")
+            if batch is not None:
+                resolved = batch.resolve(self, field)
+                if resolved is not batch.DECLINED:
+                    return resolved
             target = field.target_model()
             resolved = target.objects.get_by_jid(target_jid)
             self.__dict__[cache_name] = resolved

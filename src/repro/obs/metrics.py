@@ -84,6 +84,10 @@ COUNTER_GLOSSARY: Dict[str, str] = {
         "memory-engine reads where the cost model chose (or was forced "
         "to) a full heap scan"
     ),
+    "fk.batch": (
+        "instances whose foreign key was resolved by one list-level "
+        "jid IN (...) fetch instead of a per-instance get (FORM read path)"
+    ),
     "pushdown.store.refresh": (
         "label-assignment store repopulations (one per stale "
         "(table, viewer) slice; Early Pruning in SQL)"

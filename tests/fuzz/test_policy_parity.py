@@ -13,6 +13,9 @@ per pushdown configuration on the same backend:
 Every configuration must produce identical observables, and none may ever
 leak a secret to the wrong viewer -- checked against the fetched rows'
 own unpolicied columns (``owner_id``, ``path``), independent of any path.
+Fetched docs also traverse ``FuzzDoc.owner``: within each configuration
+the list-level foreign-key batch must resolve what a per-instance
+``get_by_jid`` resolves, and the resolved owners join the observables.
 The model set covers all inline tiers: ``FuzzDoc`` is the direct shape
 (equality on the viewer's jid), ``FuzzOrgDoc`` the indexable shape
 (``path.startswith(viewer.path)``), ``FuzzAudit`` stays store-only (its
@@ -176,11 +179,16 @@ def _gen_program(rng, length=16):
 # -- program execution ---------------------------------------------------------------
 
 
+def _owner_shape(owner):
+    return None if owner is None else (owner.jid, owner.name, owner.path)
+
+
 def _run_program(kind, program, config):
     """Execute ``program`` under a pushdown ``config``, returning
-    ``(observables, leaks)``.  Ops that need an owner are skipped while
-    none exists (shrunk programs may drop the opening creates) --
-    identically in every configuration, so parity is unaffected."""
+    ``(observables, leaks, fk_mismatches)``.  Ops that need an owner are
+    skipped while none exists (shrunk programs may drop the opening
+    creates) -- identically in every configuration, so parity is
+    unaffected."""
     database = Database() if kind == "memory" else Database(SqliteBackend())
     form = FORM(database, cache_config=CacheConfig.disabled())
     form.register_all(MODELS)
@@ -188,6 +196,7 @@ def _run_program(kind, program, config):
     form.policy_pushdown_tier_cap = "store" if config == "store" else None
     observables = []
     leaks = []
+    fk_mismatches = []
     owners = []
     with use_form(form):
         for op in program:
@@ -225,12 +234,23 @@ def _run_program(kind, program, config):
                 viewer = owners[args[0] % len(owners)]
                 with viewer_context(viewer):
                     docs = FuzzDoc.objects.all().fetch()
+                    # FK traversal: the list-level batch must resolve
+                    # exactly what a per-instance get_by_jid resolves.
+                    traversed = [_owner_shape(doc.owner) for doc in docs]
+                    single = [
+                        _owner_shape(FuzzOwner.objects.get_by_jid(doc.owner_id))
+                        if doc.owner_id is not None else None
+                        for doc in docs
+                    ]
+                if traversed != single:
+                    fk_mismatches.append((op, traversed, single))
                 for doc in docs:
                     if doc.title != "[secret]" and doc.owner_id != viewer.jid:
                         leaks.append((op, doc.jid, doc.title))
-                observables.append(
-                    sorted((doc.jid, doc.title, doc.score) for doc in docs)
-                )
+                observables.append(sorted(
+                    (doc.jid, doc.title, doc.score, owner)
+                    for doc, owner in zip(docs, traversed)
+                ))
             elif name == "count_docs":
                 viewer = owners[args[0] % len(owners)]
                 with viewer_context(viewer):
@@ -267,16 +287,21 @@ def _run_program(kind, program, config):
             else:  # pragma: no cover - generator and runner must agree
                 raise ValueError(f"unknown op {name!r}")
     database.close()
-    return observables, leaks
+    return observables, leaks, fk_mismatches
 
 
 def _failure(kind, program):
     """The parity/leak violation this program exposes, or ``None``."""
     runs = {}
     for config in CONFIGS:
-        observables, run_leaks = _run_program(kind, program, config)
+        observables, run_leaks, fk_mismatches = _run_program(kind, program, config)
         if run_leaks:
             return f"cross-viewer leak on the {config!r} path: {run_leaks!r}"
+        if fk_mismatches:
+            return (
+                f"FK traversal diverges from per-instance get_by_jid on the "
+                f"{config!r} path: {fk_mismatches!r}"
+            )
         runs[config] = observables
     oracle = runs["off"]
     for config in CONFIGS[1:]:

@@ -65,6 +65,19 @@ def test_traced_view_all_yields_spans_sql_timings_and_counters(conf):
     assert trace.counters["web.requests"] == 1
 
 
+def test_view_all_resolves_every_author_in_one_batch_span(conf):
+    _form, created, app = conf
+    client = TestClient(app)
+    chair = created["chair"][0]
+    client.force_login(chair.jid, chair.name)
+    with obs.tracing():
+        response = client.get("/papers")
+        trace = obs.get_trace(response.headers["X-Trace-Id"])
+    batches = [span for span in _spans(trace.root) if span.name == "form.fk.batch"]
+    assert [span.attributes["model"] for span in batches] == ["ConfUser"]
+    assert trace.counters["fk.batch"] == 6
+
+
 def test_anonymous_view_all_counts_worlds_merged(conf):
     _form, _created, app = conf
     client = TestClient(app)
