@@ -26,7 +26,12 @@ Per backend (memory engine and SQLite) this verifies:
   (``form.policy_pushdown_enabled = False``) bit for bit;
 * **speedup**: at 10k records the direct-tier ``count()`` is >=5x faster
   than Python pruning (full run only; ``--smoke`` checks shape and parity
-  at CI size).
+  at CI size);
+* **two policy groups**: ``BenchReview`` has two groups whose predicates
+  fold to booleans for each viewer at bind time, so its fetch is also one
+  direct-tier statement matching each record's rows by label
+  sub-assignment (``jvars IN (...)``) -- no label store, ``explain()`` SQL
+  equal to the executed statement, results equal to the Python oracle.
 
 Usage::
 
@@ -93,6 +98,95 @@ class BenchDoc(JModel):
     @jacqueline
     def jacqueline_restrict_title(doc, ctxt):
         return ctxt is not None and doc.owner_id == ctxt.jid
+
+
+class BenchReview(JModel):
+    """Two policy groups, both viewer-only: the multi-group direct tier."""
+
+    owner = ForeignKey(BenchOwner)
+    body = CharField(max_length=64)
+    grade = IntegerField(default=0)
+
+    @staticmethod
+    def jacqueline_get_public_body(review):
+        return "[hidden]"
+
+    @staticmethod
+    def jacqueline_get_public_grade(review):
+        return 0
+
+    @staticmethod
+    @label_for("body")
+    @jacqueline
+    def jacqueline_restrict_body(review, ctxt):
+        return ctxt is not None and ctxt.name == "alice"
+
+    @staticmethod
+    @label_for("grade")
+    @jacqueline
+    def jacqueline_restrict_grade(review, ctxt):
+        return ctxt is not None and ctxt.name in ("alice", "bob")
+
+
+def _two_group_case(backend_name: str, backend_factory, rows: int) -> List[str]:
+    """Single-statement, explain-SQL and oracle-parity checks of the
+    two-group direct tier.  Every third review keeps its public body, so
+    those records store rows naming only the grade label."""
+    failures: List[str] = []
+    database = Database(backend_factory())
+    form = FORM(database, cache_config=CacheConfig.disabled())
+    form.register_all([BenchOwner, BenchReview])
+    log = StatementLog(database.backend)
+    with use_form(form):
+        alice = BenchOwner.objects.create(name="alice")
+        bob = BenchOwner.objects.create(name="bob")
+        carol = BenchOwner.objects.create(name="carol")
+        BenchReview.objects.bulk_create(
+            [
+                BenchReview(
+                    owner=alice if index % 2 else bob,
+                    body="[hidden]" if index % 3 == 0 else f"body{index:06d}",
+                    grade=index % 5 + 1,
+                )
+                for index in range(rows)
+            ]
+        )
+
+        def view(reviews):
+            return sorted((r.jid, r.body, r.grade) for r in reviews)
+
+        for viewer in (alice, bob, carol):
+            with viewer_context(viewer):
+                BenchReview.objects.all().fetch()  # warm the branch-key probe
+                report = BenchReview.objects.all().explain()
+                log.clear()
+                served = view(BenchReview.objects.all().fetch())
+                statements = list(log.statements)
+                form.policy_pushdown_enabled = False
+                oracle = view(BenchReview.objects.all().fetch())
+                form.policy_pushdown_enabled = True
+            where = f"{backend_name}: two-group fetch as {viewer.name}"
+            if report.get("tier") != "direct":
+                failures.append(
+                    f"{where}: explain tier {report.get('tier')!r}, expected "
+                    f"'direct' (demoted: {report.get('demoted')!r})"
+                )
+            if len(statements) != 1:
+                failures.append(
+                    f"{where}: {len(statements)} statements, expected 1"
+                )
+            elif STORE_TABLE in statements[0]:
+                failures.append(f"{where}: statement references the label store")
+            elif statements != [report.get("sql")]:
+                failures.append(
+                    f"{where}: explain() SQL differs from the executed "
+                    f"statement: {report.get('sql')!r} vs {statements!r}"
+                )
+            if served != oracle:
+                failures.append(f"{where}: diverged from the Python oracle")
+    log.detach()
+    database.close()
+    return failures
 
 
 def _build_form(backend_factory, rows: int) -> Tuple[FORM, Database, object, object]:
@@ -273,6 +367,7 @@ def run(rows: int, smoke: bool) -> int:
             f"python={oracle_fetch_time * 1000:.2f}ms ({fetch_speedup:.1f}x)"
         )
         database.close()
+        failures.extend(_two_group_case(backend_name, backend_factory, rows))
 
     if not smoke:
         for backend_name, (pushed, oracle) in timings.items():

@@ -36,9 +36,10 @@ key ``author`` stores into column ``author_id``, as in the FORM.
 from __future__ import annotations
 
 import ast
+import inspect
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.astutils import (
     attach_parents,
@@ -84,6 +85,14 @@ class GroupFacts:
     method_name: str
     node: Optional[ast.FunctionDef]
     line: int = 0
+    #: the live policy function's ``__globals__`` (``None`` when parsed
+    #: from source): where its body resolves free names and helpers
+    namespace: Optional[Dict[str, Any]] = field(
+        default=None, repr=False, compare=False
+    )
+    #: names the live body reads from enclosing function scopes (closure
+    #: cells); they are not globals
+    freevars: Tuple[str, ...] = ()
 
     @property
     def key(self) -> str:
@@ -267,14 +276,33 @@ def facts_for_path(path: str) -> ModuleFacts:
         return facts_for_source(handle.read(), path)
 
 
+def namespace_helper(namespace: Dict[str, Any], name: str) -> Optional[ast.FunctionDef]:
+    """The AST of the plain function ``namespace[name]``, or ``None``.
+
+    Only functions whose own globals *are* ``namespace`` and that capture
+    no closure cells qualify: their free names then resolve in the same
+    namespace as the caller's (an imported helper's resolve in its own
+    module).  Decorated functions do not qualify -- the wrapper, not the
+    recovered source, is what runs.
+    """
+    target = namespace.get(name)
+    if getattr(target, "__globals__", None) is not namespace:
+        return None
+    if hasattr(target, "__wrapped__") or target.__code__.co_freevars:
+        return None
+    return function_ast(target)
+
+
 def facts_for_model(model) -> ModelFacts:
     """Model facts from a *live* registered model class.
 
     Field and group structure come from ``model._meta`` (authoritative);
     method bodies are recovered with ``inspect.getsource`` and may be
     ``None`` when the source is lost (doctest-defined classes), which
-    read-set inference treats as TOP.  Same-module helpers resolve through
-    ``sys.modules[model.__module__]``.
+    read-set inference treats as TOP.  Helpers defined in the model's own
+    module resolve through ``sys.modules[model.__module__]``; each group
+    also records its live policy function's globals and closure names, the
+    namespace the symbolic compiler resolves the body's free names in.
     """
     meta = model._meta
     defining_module = sys.modules.get(model.__module__)
@@ -282,12 +310,10 @@ def facts_for_model(model) -> ModelFacts:
         name=meta.table_name,
         file=getattr(defining_module, "__file__", "<live>") or "<live>",
     )
+    module_namespace = getattr(defining_module, "__dict__", {})
 
     def helper(name: str) -> Optional[ast.FunctionDef]:
-        target = getattr(defining_module, name, None)
-        if callable(target):
-            return function_ast(target)
-        return None
+        return namespace_helper(module_namespace, name)
 
     facts.helper = helper
     for name, fld in meta.fields.items():
@@ -306,8 +332,16 @@ def facts_for_model(model) -> ModelFacts:
             nullable=bool(getattr(fld, "nullable", True)),
         )
     for group in meta.policy_groups:
+        body = inspect.unwrap(group.method)
+        code = getattr(body, "__code__", None)
         facts.groups.append(
-            GroupFacts(group.fields, group.method.__name__, function_ast(group.method))
+            GroupFacts(
+                group.fields,
+                group.method.__name__,
+                function_ast(group.method),
+                namespace=getattr(body, "__globals__", None),
+                freevars=tuple(code.co_freevars) if code else (),
+            )
         )
     for field_name, method in meta.public_methods.items():
         facts.public_methods[field_name] = (method.__name__, function_ast(method))

@@ -5,7 +5,9 @@ module runs a small abstract interpreter over its AST and produces a
 normalized predicate IR — and/or/not trees over :class:`Atom` leaves
 ``(lhs op rhs)`` whose value sources are constants (:class:`ConstVal`),
 own-row columns (:class:`OwnColumn`), viewer attribute chains
-(:class:`ViewerAttr`), or the row/viewer objects themselves.  Anything the
+(:class:`ViewerAttr`), module globals (:class:`GlobalAttr`), or the
+row/viewer objects themselves.  ``if <test>: return <e>`` chains compile
+left to right into ``(test and e) or (not test and <rest>)``.  Anything the
 interpreter cannot model soundly becomes :class:`Top` ("unknown"), and
 every consumer treats TOP conservatively: pushdown falls back to the label
 store or the Python path, and the unsatisfiability check treats it as
@@ -52,11 +54,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.astutils import const_str, dotted_name, positional_params
-from repro.analysis.facts import GroupFacts, ModelFacts
+from repro.analysis.facts import GroupFacts, ModelFacts, namespace_helper
 from repro.analysis.types import TypeEnv, type_env
 
 #: Maximum helper-inlining depth (mirrors read-set inference).
 MAX_DEPTH = 6
+
+#: Maximum number of ``if`` statements compiled per function body.
+MAX_BRANCHES = 32
 
 #: Maximum number of DNF conjuncts explored by the satisfiability check.
 DNF_LIMIT = 128
@@ -96,6 +101,20 @@ class ViewerAttr(Source):
     path: Tuple[str, ...]
     has_default: bool = False
     default: Any = None
+
+
+@dataclass(frozen=True)
+class GlobalAttr(Source):
+    """A module-global name or attribute chain (``ConferencePhase.current``).
+
+    Read at bind time through the policy function's ``__globals__`` (names
+    it captures from an enclosing function are not globals), so the value
+    is a per-query constant.  The contract is the label cache's: code that
+    changes such a global must call
+    :func:`repro.cache.epoch.bump_policy_epoch`.
+    """
+
+    path: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -202,19 +221,40 @@ class _Compiler:
         scope: Dict[str, Binding],
         depth: int,
         stack: Tuple[str, ...],
+        namespace: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.facts = facts
         self.env = env
         self.scope = scope
         self.depth = depth
         self.stack = stack
+        self.namespace = namespace
         self.locals: Dict[str, ast.expr] = {}
         self._resolving: Set[str] = set()
+        self.assigned: Set[str] = set()
+        self.branches = 0
 
     # -- statements ---------------------------------------------------
 
     def run(self, node: ast.FunctionDef) -> Pred:
-        for stmt in node.body:
+        # Names the body assigns anywhere are locals, never globals, even
+        # where the assignment is on a branch not taken.
+        self.assigned = {
+            sub.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+        }
+        return self._block(list(node.body))
+
+    def _block(self, stmts: List[ast.stmt]) -> Pred:
+        """Compile a statement sequence up to its first ``return``.
+
+        ``if test: <body> else: <orelse>`` followed by ``rest`` compiles to
+        ``(test and <body; rest>) or (not test and <orelse; rest>)``; a body
+        that returns never reaches ``rest``, so an ``if .. return`` chain
+        stays linear in its length.
+        """
+        for index, stmt in enumerate(stmts):
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
                 continue  # docstring
             if isinstance(stmt, ast.Assign):
@@ -226,6 +266,18 @@ class _Compiler:
                 if stmt.value is None:
                     return Const(False)
                 return self.boolean(stmt.value)
+            if isinstance(stmt, ast.If):
+                self.branches += 1
+                if self.branches > MAX_BRANCHES:
+                    return Top("too many if statements")
+                rest = stmts[index + 1:]
+                test = self.boolean(stmt.test)
+                saved = dict(self.locals)
+                taken = self._block(list(stmt.body) + rest)
+                self.locals = dict(saved)
+                skipped = self._block(list(stmt.orelse) + rest)
+                self.locals = saved
+                return Or((And((test, taken)), And((Not(test), skipped))))
             return Top(f"unsupported statement {type(stmt).__name__}")
         return Top("no return statement")
 
@@ -257,7 +309,7 @@ class _Compiler:
         source = self.source(node)
         if isinstance(source, ConstVal):
             return Const(bool(source.value))
-        if isinstance(source, ViewerAttr):
+        if isinstance(source, (ViewerAttr, GlobalAttr)):
             return Atom("truthy", source)
         if isinstance(source, OwnColumn):
             if source.kind == "bool":
@@ -357,9 +409,15 @@ class _Compiler:
             if isinstance(source, ViewerAttr):
                 return Atom("truthy", source)
             return Top("getattr in boolean position")
+        if name in self.scope or name in self.assigned:
+            return Top(f"call of non-global name {name!r}")
         if name in self.stack or self.depth >= MAX_DEPTH:
             return Top(f"helper {name!r} recursion or depth limit")
-        helper = self.facts.helper(name)
+        helper = (
+            self.facts.helper(name)
+            if self.namespace is None
+            else namespace_helper(self.namespace, name)
+        )
         if helper is None:
             return Top(f"unknown helper {name!r}")
         params = positional_params(helper)
@@ -375,7 +433,12 @@ class _Compiler:
             else:
                 scope[param] = arg_source  # Source or None (= unmodelled)
         child = _Compiler(
-            self.facts, self.env, scope, self.depth + 1, self.stack + (name,)
+            self.facts,
+            self.env,
+            scope,
+            self.depth + 1,
+            self.stack + (name,),
+            self.namespace,
         )
         return child.run(helper)
 
@@ -400,7 +463,7 @@ class _Compiler:
             if isinstance(binding, Source):
                 return binding
             if node.id in self.scope:
-                return None  # unmodelled helper argument
+                return None  # unmodelled helper argument or closure name
             expr = self._local(node.id)
             if expr is not None:
                 self._resolving.add(node.id)
@@ -408,7 +471,9 @@ class _Compiler:
                     return self.source(expr)
                 finally:
                     self._resolving.discard(node.id)
-            return None
+            if node.id in self.locals or node.id in self.assigned:
+                return None  # self-referential or not (yet) assigned local
+            return GlobalAttr((node.id,))
         if isinstance(node, ast.Attribute):
             return self._attribute(node)
         if isinstance(node, ast.Call):
@@ -431,6 +496,8 @@ class _Compiler:
             return ViewerAttr(tuple(path))
         if isinstance(root, ViewerAttr):
             return ViewerAttr(root.path + tuple(path))
+        if isinstance(root, GlobalAttr):
+            return GlobalAttr(root.path + tuple(path))
         return None
 
     def _getattr_call(self, node: ast.Call) -> Optional[Source]:
@@ -473,6 +540,9 @@ def compile_policy(
     """Compile one policy group's body to normalized predicate IR.
 
     Never raises: any modelling failure yields :class:`Top` with a reason.
+    Names the live body captures from an enclosing function
+    (``group.freevars``) are unmodelled, never globals; helpers resolve
+    through ``group.namespace`` when it is known.
     """
     node = group.node
     if node is None:
@@ -482,9 +552,13 @@ def compile_policy(
         return Top("policy does not take (row, viewer) parameters")
     if env is None:
         env = type_env(facts)
-    scope: Dict[str, Binding] = {params[0]: _ROW, params[1]: _VIEWER}
+    scope: Dict[str, Binding] = {name: None for name in params[2:]}
+    scope.update({name: None for name in group.freevars})
+    scope.update({params[0]: _ROW, params[1]: _VIEWER})
     try:
-        compiler = _Compiler(facts, env, scope, 0, (group.method_name,))
+        compiler = _Compiler(
+            facts, env, scope, 0, (group.method_name,), group.namespace
+        )
         return normalize(compiler.run(node))
     except RecursionError:  # pragma: no cover - defensive
         return Top("policy too deeply nested")
@@ -585,6 +659,54 @@ def contains_top(pred: Pred) -> bool:
     return False
 
 
+def reads_only_globals(pred: Pred) -> bool:
+    """Whether ``pred`` is TOP-free and reads only constants and module
+    globals, so it folds to a boolean at bind time for every row and viewer.
+    """
+    if isinstance(pred, Const):
+        return True
+    if isinstance(pred, (And, Or)):
+        return all(reads_only_globals(item) for item in pred.items)
+    if isinstance(pred, Not):
+        return reads_only_globals(pred.item)
+    if isinstance(pred, Atom):
+        return all(
+            source is None or isinstance(source, (ConstVal, GlobalAttr))
+            for source in (pred.lhs, pred.rhs)
+        )
+    return False
+
+
+def tops_guarded(pred: Pred, guarded: bool = False) -> bool:
+    """Whether every TOP in ``pred`` sits in an ``And`` after a conjunct
+    that reads only globals or constants.
+
+    Such a TOP is reached only in the global states where that conjunct
+    holds; in the others, short-circuit folding at bind time drops it, so
+    inline rendering is worth admitting statically (reaching the TOP at
+    bind time demotes that query to the label store).
+
+    >>> phase = Atom("eq", GlobalAttr(("Phase", "current")), ConstVal("final"))
+    >>> tops_guarded(And((phase, Top("lookup"))))
+    True
+    >>> tops_guarded(And((Atom("not-null", ViewerSelf()), Top("lookup"))))
+    False
+    """
+    if isinstance(pred, Top):
+        return guarded
+    if isinstance(pred, And):
+        for item in pred.items:
+            if not tops_guarded(item, guarded):
+                return False
+            guarded = guarded or reads_only_globals(item)
+        return True
+    if isinstance(pred, Or):
+        return all(tops_guarded(item, guarded) for item in pred.items)
+    if isinstance(pred, Not):
+        return tops_guarded(pred.item, guarded)
+    return True
+
+
 def own_columns(pred: Pred) -> Set[str]:
     """Backing columns the predicate reads from the guarded row itself."""
     columns: Set[str] = set()
@@ -611,6 +733,8 @@ def source_text(source: Optional[Source]) -> str:
         return source.column
     if isinstance(source, ViewerAttr):
         return "viewer." + ".".join(source.path)
+    if isinstance(source, GlobalAttr):
+        return ".".join(source.path)
     if isinstance(source, ViewerSelf):
         return "viewer"
     if isinstance(source, RowSelf):
@@ -673,6 +797,8 @@ def _source_json(source: Optional[Source]) -> Any:
         if source.has_default:
             out["default"] = source.default
         return out
+    if isinstance(source, GlobalAttr):
+        return {"global": ".".join(source.path)}
     if isinstance(source, ViewerSelf):
         return {"viewer-self": True}
     if isinstance(source, RowSelf):
@@ -769,6 +895,8 @@ def _source_key(source: Optional[Source]) -> Optional[str]:
         return f"col:{source.column}"
     if isinstance(source, ViewerAttr):
         return "viewer:" + ".".join(source.path)
+    if isinstance(source, GlobalAttr):
+        return "global:" + ".".join(source.path)
     if isinstance(source, ViewerSelf):
         return "viewer-self"
     if isinstance(source, RowSelf):

@@ -88,7 +88,7 @@ class FormCaches:
     def on_external_change(self) -> None:
         """Invalidate viewer-facing layers after a mutation the bus cannot
         see (auth changes, handler side effects outside the database)."""
-        self.labels.clear()
+        self.labels.invalidate()
         self.fragments.clear()
 
     # -- introspection ------------------------------------------------------------------

@@ -6,14 +6,17 @@ model's policy, which typically issues further queries (the conflict lookup
 of the paper's Figure 7 policy is the canonical example).  Across requests
 by the same viewer these resolutions are identical until something the
 policies read changes, so the memo keys outcomes by
-``(label name, viewer identity)``.
+``(label name, viewer identity, generation)``.
 
 Safety:
 
 * entries are **per-viewer** -- a viewer key never matches another viewer,
   so a memoised outcome cannot leak across users;
-* any database write clears the memo (policies may read *any* table, so
-  table-granular invalidation would be unsound for label outcomes);
+* any database write invalidates the memo (policies may read *any* table,
+  so table-granular invalidation would be unsound for label outcomes).
+  Invalidation bumps the generation that is part of every key, so it costs
+  the writer O(1) however many outcomes reads memoised; entries of an old
+  generation are never looked up again and the LRU evicts them first;
 * entries are stamped with the global policy epoch
   (:mod:`repro.cache.epoch`) so out-of-band policy inputs -- e.g. the
   conference phase -- invalidate them too;
@@ -45,7 +48,7 @@ def viewer_cache_key(viewer: Any) -> Optional[Hashable]:
 
 
 class LabelResolutionCache:
-    """Memoises per-viewer label outcomes, cleared on any database write."""
+    """Memoises per-viewer label outcomes, invalidated on any database write."""
 
     def __init__(
         self,
@@ -57,8 +60,9 @@ class LabelResolutionCache:
         self._lru = LRUCache(max_entries, ttl, **kwargs)
         self._bus: Optional[InvalidationBus] = None
         self._subscription = None
-        #: bumped on every clear; lets callers reject fills computed before
-        #: an invalidation that raced with the resolution (see :meth:`put`).
+        #: bumped on every invalidation and part of every key; also lets
+        #: callers reject fills computed before an invalidation that raced
+        #: with the resolution (see :meth:`put`).
         self._generation = 0
 
     # -- bus wiring -----------------------------------------------------------------
@@ -78,9 +82,11 @@ class LabelResolutionCache:
 
     def _on_write(self, _table: str) -> None:
         # Policies may read any table, so every memoised outcome is suspect.
-        # Must go through clear() so the generation bumps and in-flight
-        # resolutions that started before this write cannot memoise.
-        self.clear()
+        self.invalidate()
+
+    def invalidate(self) -> None:
+        """Expire every entry, and every in-flight fill, in O(1)."""
+        self._generation += 1
 
     # -- memoisation -------------------------------------------------------------------
 
@@ -91,12 +97,13 @@ class LabelResolutionCache:
 
     def get(self, label_name: str, viewer_key: Hashable) -> Optional[bool]:
         """The memoised outcome, or ``None`` on a miss/stale epoch."""
-        entry = self._lru.lookup((label_name, viewer_key))
+        key = (label_name, viewer_key, self._generation)
+        entry = self._lru.lookup(key)
         if entry is MISSING:
             return None
         outcome, epoch = entry
         if epoch != policy_epoch():
-            self._lru.remove((label_name, viewer_key))
+            self._lru.remove(key)
             return None
         return outcome
 
@@ -116,12 +123,14 @@ class LabelResolutionCache:
         the same fill-vs-write guard the query cache gets from
         generation-stamped keys.
         """
-        if generation is not None and generation != self._generation:
+        current = self._generation
+        if generation is not None and generation != current:
             return
         entry_epoch = policy_epoch() if epoch is None else epoch
-        self._lru.put((label_name, viewer_key), (bool(outcome), entry_epoch))
+        self._lru.put((label_name, viewer_key, current), (bool(outcome), entry_epoch))
 
     def clear(self) -> None:
+        """Invalidate and drop every entry (``FORM.clear()``)."""
         self._generation += 1
         self._lru.clear()
 
@@ -130,7 +139,10 @@ class LabelResolutionCache:
         return self._lru.stats
 
     def __len__(self) -> int:
-        return len(self._lru)
+        """The number of entries of the current generation (a scan; for
+        introspection, not the serving path)."""
+        current = self._generation
+        return sum(1 for key in self._lru.keys() if key[2] == current)
 
     def __repr__(self) -> str:
         return f"LabelResolutionCache({self._lru!r})"

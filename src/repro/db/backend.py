@@ -14,7 +14,7 @@ False
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cache.bus import InvalidationBus
@@ -100,10 +100,10 @@ class Backend(abc.ABC):
         """Per-table policy-group branch keys seen in faceted rows.
 
         ``set`` of keys when every faceted row written so far was a
-        canonical single-group facet row (``jvars`` exactly
-        ``"{table}.{jid}.{key}={bool}"`` for the row's own ``jid``);
-        ``None`` is the sticky "exotic" verdict (multi-branch rows,
-        program-counter labels, foreign-jid labels, or an update whose new
+        canonical facet row (:meth:`_own_branch_key`: only labels of the
+        row's own record, distinct keys, in canonical order); ``None`` is
+        the sticky "exotic" verdict (program-counter labels, foreign-jid
+        labels, non-canonical branch lists, or an update whose new
         ``jvars`` cannot be checked against a row id).  Absent means
         unknown -- writes skip it and :meth:`facet_branch_keys` probes the
         table's current rows once, which is correct regardless of write
@@ -116,28 +116,43 @@ class Backend(abc.ABC):
         return state
 
     @staticmethod
-    def _own_branch_key(table: str, jid: Any, encoded: str) -> Optional[str]:
-        """The group key of one canonical facet row's ``jvars``, or ``None``.
+    def _own_branch_key(table: str, jid: Any, encoded: str) -> Optional[Tuple[str, ...]]:
+        """The group keys of one canonical facet row's ``jvars``, or ``None``.
+
+        Canonical means every branch is a label of the row's own record
+        (``"{table}.{jid}.{key}={bool}"``), the keys are distinct, and they
+        appear in :func:`~repro.form.marshal.format_jvars` order (sorted).
 
         >>> Backend._own_branch_key("Doc", 7, "Doc.7.title=True")
-        'title'
+        ('title',)
+        >>> Backend._own_branch_key("Doc", 7, "Doc.7.body=False,Doc.7.title=True")
+        ('body', 'title')
         >>> Backend._own_branch_key("Doc", 7, "Doc.8.title=True") is None
+        True
+        >>> Backend._own_branch_key("Doc", 7, "Doc.7.body=True,Doc.8.title=True") is None
+        True
+        >>> Backend._own_branch_key("Doc", 7, "Doc.7.title=True,Doc.7.title=False") is None
+        True
+        >>> Backend._own_branch_key("Doc", 7, "Doc.7.title=True,Doc.7.body=False") is None
         True
         >>> Backend._own_branch_key("Doc", 7, "Doc.7.title=True,x=False") is None
         True
         """
-        if "," in encoded:
-            return None  # multiple branches
         prefix = f"{table}.{jid}."
-        if not encoded.startswith(prefix):
-            return None  # pc label / ad-hoc label / foreign jid
-        rest = encoded[len(prefix):]
-        for suffix in ("=True", "=False"):
-            if rest.endswith(suffix):
-                key = rest[: -len(suffix)]
-                if key and "." not in key and "=" not in key:
-                    return key
-        return None
+        keys: List[str] = []
+        for branch in encoded.split(","):
+            if not branch.startswith(prefix):
+                return None  # pc label / ad-hoc label / foreign jid
+            rest = branch[len(prefix):]
+            key, _, polarity = rest.rpartition("=")
+            if polarity not in ("True", "False"):
+                return None
+            if not key or "." in key or "=" in key:
+                return None
+            if keys and key <= keys[-1]:
+                return None  # duplicate key or non-canonical order
+            keys.append(key)
+        return tuple(keys)
 
     def _note_facet_write(self, table: str, rows: Sequence[Dict[str, Any]]) -> None:
         """Record that ``rows`` were written (facet bit + branch keys)."""
@@ -152,31 +167,35 @@ class Backend(abc.ABC):
             known = branches[table]
             if known is None:
                 continue  # already exotic (sticky)
-            key = (
+            keys = (
                 self._own_branch_key(table, row["jid"], encoded)
                 if "jid" in row
                 else None  # UPDATE without a row id: unverifiable
             )
-            if key is None:
+            if keys is None:
                 branches[table] = None
             else:
-                known.add(key)
+                known.update(keys)
 
-    def facet_branch_keys(self, table: str) -> Optional[frozenset]:
+    def facet_branch_keys(self, table: str, probe: bool = True) -> Optional[frozenset]:
         """The policy-group keys of ``table``'s faceted rows, or ``None``.
 
         A ``frozenset`` (possibly empty) means every faceted row currently
         in the table -- and every one written since -- is a canonical
-        single-group facet row whose group key is in the set, which is the
-        soundness condition for rendering a policy branch inline with
+        facet row whose group keys are in the set, which is the soundness
+        condition for rendering policy branches inline with
         :class:`~repro.db.expr.FacetBranch`.  ``None`` means exotic labels
         may be present and inline rendering must not be used.  Unknown
-        tables are probed once by scanning their faceted rows' ``jvars``.
+        tables are probed once by scanning their faceted rows' ``jvars``;
+        with ``probe=False`` (``explain``) an unknown table runs no
+        statement and answers optimistically with the empty set.
         """
         state = self._branch_keys
         if table in state:
             known = state[table]
             return None if known is None else frozenset(known)
+        if not probe:
+            return frozenset()
         if not self.may_have_facets(table):
             state[table] = set()
             return frozenset()
@@ -190,11 +209,13 @@ class Backend(abc.ABC):
             return None
         keys: set = set()
         for row in rows:
-            key = self._own_branch_key(table, row.get("jid"), row.get("jvars") or "")
-            if key is None:
+            row_keys = self._own_branch_key(
+                table, row.get("jid"), row.get("jvars") or ""
+            )
+            if row_keys is None:
                 state[table] = None
                 return None
-            keys.add(key)
+            keys.update(row_keys)
         state[table] = keys
         return frozenset(keys)
 

@@ -250,21 +250,22 @@ class Database:
         """
         return self.backend.may_have_facets(table)
 
-    def facet_branch_keys(self, table: str):
+    def facet_branch_keys(self, table: str, probe: bool = True):
         """The policy-group branch keys of ``table``'s faceted rows.
 
         Backed by :meth:`repro.db.backend.Backend.facet_branch_keys`: a
-        ``frozenset`` of group keys when every faceted row is a canonical
-        single-group facet row, ``None`` when exotic labels may be present
-        (the direct-WHERE pushdown soundness gate).
+        ``frozenset`` of group keys when every faceted row lists only
+        labels of its own record in canonical order, ``None`` when exotic
+        labels may be present (the direct-WHERE pushdown soundness gate).
 
         >>> with Database() as db:
         ...     _ = db.define_table("Doc", jid=ColumnType.INTEGER, jvars=ColumnType.TEXT)
-        ...     _ = db.insert("Doc", jid=1, jvars="Doc.1.title=True")
+        ...     _ = db.insert("Doc", jid=1, jvars="Doc.1.body=False,Doc.1.title=True")
+        ...     _ = db.insert("Doc", jid=2, jvars="Doc.2.title=True")
         ...     sorted(db.facet_branch_keys("Doc"))
-        ['title']
+        ['body', 'title']
         """
-        return self.backend.facet_branch_keys(table)
+        return self.backend.facet_branch_keys(table, probe)
 
     def exists(self, table: str, where: Optional[Expression] = None) -> bool:
         """``SELECT EXISTS(...)``: any matching row, without fetching rows.

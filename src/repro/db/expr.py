@@ -9,6 +9,7 @@ join queries.
 from __future__ import annotations
 
 import datetime
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -543,41 +544,80 @@ class NullSafeEq(Expression):
 
 @dataclass(frozen=True)
 class FacetBranch(Expression):
-    """Matches the facet rows of one policy-group branch of a table.
+    """Matches the facet rows consistent with one policy-group assignment.
 
-    A faceted row's ``jvars`` for a single policy group is exactly
-    ``"{table}.{jid}.{key}={polarity}"`` (the label-name convention plus
-    the encoded assignment), so the positive/negative branch of a record
-    is selected by comparing ``jvars`` against that string built from the
-    row's own ``jid``.  Rendered to SQL with the concatenation operator
-    (``jid`` is an INTEGER; ``||`` coerces it to TEXT).
+    ``assignment`` maps group keys to polarities (a mapping or pairs; it is
+    stored as pairs sorted by key).  A faceted row's ``jvars`` lists its
+    record's labels ``"{table}.{jid}.{key}={polarity}"`` comma-joined in
+    :func:`~repro.form.marshal.format_jvars` order (sorted by key within a
+    record); a row is selected when that list is a non-empty sub-assignment
+    of ``assignment`` -- sharing drops a label whose group's public and
+    secret values agree, so a record of a two-group model may store rows
+    naming only one of them.  Each candidate string is built from the
+    row's own ``jid`` with the SQL concatenation operator (``jid`` is an
+    INTEGER; ``||`` coerces it to TEXT).
 
-    >>> branch = FacetBranch("Doc", "title", True)
+    >>> branch = FacetBranch("Doc", {"title": True})
     >>> branch.evaluate({"jid": 7, "jvars": "Doc.7.title=True"})
     True
     >>> branch.evaluate({"jid": 7, "jvars": ""})
     False
     >>> branch.to_sql()
     ('jvars = (? || jid || ?)', ['Doc.', '.title=True'])
+
+    With two groups the row may carry either label alone or both:
+
+    >>> both = FacetBranch("Rev", {"reviewer": False, "contents": True})
+    >>> both.evaluate({"jid": 3, "jvars": "Rev.3.contents=True,Rev.3.reviewer=False"})
+    True
+    >>> both.evaluate({"jid": 3, "jvars": "Rev.3.reviewer=False"})
+    True
+    >>> both.evaluate({"jid": 3, "jvars": "Rev.3.reviewer=True"})
+    False
+    >>> sql, params = both.to_sql()
+    >>> sql
+    'jvars IN ((? || jid || ?), (? || jid || ?), (? || jid || ? || jid || ?))'
+    >>> params
+    ['Rev.', '.contents=True', 'Rev.', '.reviewer=False', 'Rev.', '.contents=True,Rev.', '.reviewer=False']
     """
 
     table: str
-    key: str
-    polarity: bool
+    assignment: Tuple[Tuple[str, bool], ...]
     qualify: bool = False
+
+    def __post_init__(self) -> None:
+        pairs = (
+            self.assignment.items()
+            if isinstance(self.assignment, dict)
+            else self.assignment
+        )
+        object.__setattr__(
+            self, "assignment", tuple(sorted((k, bool(p)) for k, p in pairs))
+        )
 
     def _column(self, name: str) -> str:
         return f"{self.table}.{name}" if self.qualify else name
 
+    def _templates(self) -> List[List[str]]:
+        """Per matching sub-assignment, the literal pieces around each
+        ``jid`` occurrence (one more piece than occurrences)."""
+        templates = []
+        for size in range(1, len(self.assignment) + 1):
+            for subset in itertools.combinations(self.assignment, size):
+                pieces = [f"{self.table}."]
+                for index, (key, polarity) in enumerate(subset):
+                    pieces.append(f".{key}={polarity}")
+                    if index < len(subset) - 1:
+                        pieces[-1] += f",{self.table}."
+                templates.append(pieces)
+        return templates
+
     def evaluate(self, row: Dict[str, Any]) -> bool:
-        jvars = _lookup(row, self._column("jvars"))
-        jid = _lookup(row, self._column("jid"))
-        return jvars == f"{self.table}.{jid}.{self.key}={self.polarity}"
+        return self.compile()(row)
 
     def compile(self) -> Callable[[Dict[str, Any]], bool]:
         jvars_col, jid_col = self._column("jvars"), self._column("jid")
-        prefix = f"{self.table}."
-        suffix = f".{self.key}={self.polarity}"
+        templates = self._templates()
 
         def match(row: Dict[str, Any]) -> bool:
             try:
@@ -586,17 +626,27 @@ class FacetBranch(Expression):
             except KeyError:
                 jvars = _lookup(row, jvars_col)
                 jid = _lookup(row, jid_col)
-            return jvars == f"{prefix}{jid}{suffix}"
+            if not jvars:
+                return False
+            jid_text = str(jid)
+            for pieces in templates:
+                if jvars == jid_text.join(pieces):
+                    return True
+            return False
 
         return match
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         jvars = self._column("jvars")
         jid = self._column("jid")
-        return (
-            f"{jvars} = (? || {jid} || ?)",
-            [f"{self.table}.", f".{self.key}={self.polarity}"],
-        )
+        rendered: List[str] = []
+        params: List[Any] = []
+        for pieces in self._templates():
+            rendered.append("(" + f" || {jid} || ".join("?" for _ in pieces) + ")")
+            params.extend(pieces)
+        if len(rendered) == 1:
+            return f"{jvars} = {rendered[0]}", params
+        return f"{jvars} IN ({', '.join(rendered)})", params
 
     def columns(self) -> List[str]:
         return [self._column("jvars"), self._column("jid")]

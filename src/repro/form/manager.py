@@ -497,6 +497,8 @@ class QuerySet:
                 report["mode"] = "policy-pushdown"
                 report["tier"] = pushed.tiers.get(meta.table_name)
                 report["tiers"] = dict(pushed.tiers)
+                if pushed.demoted:
+                    report["demoted"] = dict(pushed.demoted)
             else:
                 report["mode"] = (
                     "pruned" if current_viewer() is not None else "faceted"
@@ -542,6 +544,8 @@ class QuerySet:
                 report["mode"] = "policy-pushdown"
                 report["tier"] = pushed.tiers.get(meta.table_name)
                 report["tiers"] = dict(pushed.tiers)
+                if pushed.demoted:
+                    report["demoted"] = dict(pushed.demoted)
             return report
         if operation == "update":
             resolved = writes.resolve_update_fields(meta, values)

@@ -176,18 +176,24 @@ class PushdownProfile:
 
     ``tier`` is the *static* ceiling the symbolic predicate IR admits:
 
-    * ``"direct"`` -- single policy group whose compiled predicate renders
-      inline with two-valued atoms (equality on viewer values, membership,
-      null tests), skipping the label store entirely;
+    * ``"direct"`` -- every group's compiled predicate renders inline with
+      two-valued atoms (equality on viewer values, membership, null
+      tests), skipping the label store entirely.  A model with several
+      groups renders inline only when every predicate folds to a boolean
+      for the viewer at bind time;
     * ``"indexable"`` -- like direct but with prefix/range atoms that
       compile through ``Like``/``Between``-family expressions over
       non-nullable columns (servable from ordered indexes);
     * ``"store"`` -- eligible, served by the label-assignment store;
     * ``"opaque"`` -- Python fallback; ``"none"`` -- no policy groups.
 
-    Runtime conditions (viewer bind success, canonical facet-branch state)
-    can still demote direct/indexable to store per query; demotion never
-    skips to the Python path while the model stays eligible.
+    ``predicates`` maps each group key to its compiled IR when the tier is
+    inline; ``namespaces`` maps it to the policy function's globals, where
+    the IR's :class:`~repro.analysis.symbolic.GlobalAttr` sources bind.  Runtime conditions (branch-key gate, viewer bind failure, a
+    TOP reached at bind time, a multi-group predicate that does not fold)
+    can still demote direct/indexable to store per query; demotion is
+    counted (``plan.policy_pushdown.demoted``) and never skips to the
+    Python path while the model stays eligible.
     """
 
     eligible: bool
@@ -195,7 +201,8 @@ class PushdownProfile:
     opaque: bool
     shapes: Dict[str, str] = field(default_factory=dict)
     tier: str = "store"
-    predicate: Optional[sym.Pred] = None
+    predicates: Optional[Dict[str, sym.Pred]] = None
+    namespaces: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     @property
     def inline(self) -> bool:
@@ -228,10 +235,12 @@ def _atom_tier(atom: sym.Atom) -> Optional[str]:
             return "direct" if atom.op in ("eq", "ne") else None
         if isinstance(lhs, sym.RowSelf) or isinstance(rhs, sym.RowSelf):
             return None
-        return "direct"  # viewer/constant only: folds at bind time
+        return "direct"  # viewer/global/constant only: folds at bind time
     if not lhs_own:
         return None  # own column in a non-canonical position (e.g. prefix rhs)
-    value_ok = isinstance(rhs, (sym.ConstVal, sym.ViewerAttr, sym.OwnColumn))
+    value_ok = isinstance(
+        rhs, (sym.ConstVal, sym.ViewerAttr, sym.GlobalAttr, sym.OwnColumn)
+    )
     if atom.op in ("eq", "ne"):
         return "direct" if value_ok else None
     if atom.op in ("in", "not-in"):
@@ -258,13 +267,19 @@ def _atom_tier(atom: sym.Atom) -> Optional[str]:
 
 
 def _predicate_tier(pred: sym.Pred, guarded_columns: frozenset) -> str:
-    """The static tier a compiled single-group predicate admits."""
-    if sym.contains_top(pred):
+    """The static tier one compiled group predicate admits.
+
+    A TOP is admitted only behind a conjunct that reads nothing but
+    globals and constants (:func:`~repro.analysis.symbolic.tops_guarded`):
+    bind-time folding skips it in some global states, and reaching it
+    demotes that query.
+    """
+    if sym.contains_top(pred) and not sym.tops_guarded(pred):
         return "store"
     if sym.own_columns(pred) & guarded_columns:
-        # The predicate reads a column its own group guards: the negative
-        # facet row carries the public value, so inline evaluation would
-        # diverge from the oracle.
+        # The predicate reads a guarded column: the negative facet row
+        # carries the public value, so inline evaluation would diverge
+        # from the oracle.
         return "store"
     tier = "direct"
     for atom in sym.iter_atoms(pred):
@@ -302,29 +317,28 @@ def _compute_profile(model: type) -> PushdownProfile:
         for record in records
     ) and not any(_has_orm_query(group.node) for group in facts.groups)
     tier = "store" if eligible else "opaque"
-    predicate: Optional[sym.Pred] = None
-    if eligible and len(facts.groups) == 1:
-        # Inline rendering covers exactly one policy group: a record's
-        # facet rows split on that group's single branch, so visibility is
-        # one two-way decision the WHERE clause can encode.
-        group = facts.groups[0]
+    predicates: Optional[Dict[str, sym.Pred]] = None
+    namespaces: Dict[str, Dict[str, Any]] = {}
+    if eligible:
         guarded = frozenset(
             meta.fields[name].column_name
+            for group in facts.groups
             for name in group.fields
             if name in meta.fields
         )
-        try:
-            compiled = sym.compile_policy(group, facts)
-            candidate = _predicate_tier(compiled, guarded)
-        except Exception:
-            candidate = "store"
-        else:
-            if candidate in ("direct", "indexable"):
-                predicate = compiled
-        tier = candidate
+        compiled = {
+            group.key: sym.compile_policy(group, facts) for group in facts.groups
+        }
+        group_tiers = {_predicate_tier(pred, guarded) for pred in compiled.values()}
+        if "store" not in group_tiers:
+            tier = "indexable" if "indexable" in group_tiers else "direct"
+            predicates = compiled
+            namespaces = {
+                group.key: group.namespace or {} for group in facts.groups
+            }
     return PushdownProfile(
         eligible=eligible, narrow=narrow, opaque=opaque or not eligible,
-        shapes=shapes, tier=tier, predicate=predicate,
+        shapes=shapes, tier=tier, predicates=predicates, namespaces=namespaces,
     )
 
 
@@ -552,8 +566,13 @@ class LabelAssignmentStore:
 
 
 class _Demote(Exception):
-    """Raised during binding when inline rendering must fall back to the
-    label store for this (model, viewer) -- never past it to Python."""
+    """Raised while rendering inline when this (model, viewer) query must
+    fall back to the label store -- never past it to Python.  ``reason``
+    is what ``explain()`` reports."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
 
 def _viewer_value(source: sym.ViewerAttr, viewer: Any) -> Any:
@@ -569,18 +588,35 @@ def _viewer_value(source: sym.ViewerAttr, viewer: Any) -> Any:
         except AttributeError:
             # The oracle would raise here too; the store tier reproduces
             # that (population evaluates the policy in Python).
-            raise _Demote(f"viewer has no attribute {attr!r}")
+            raise _Demote(f"bind failure: viewer has no attribute {attr!r}")
     return value
 
 
-def _bind_value(source: sym.Source, viewer: Any) -> Any:
+def _global_value(source: sym.GlobalAttr, namespace: Dict[str, Any]) -> Any:
+    """Read a global chain through the policy function's ``__globals__`` --
+    the namespace its body resolves free names in."""
+    head, *attrs = source.path
+    try:
+        value = namespace[head]
+        for attr in attrs:
+            value = getattr(value, attr)
+    except (KeyError, AttributeError):
+        raise _Demote(
+            f"bind failure: global {'.'.join(source.path)!r} not found"
+        )
+    return value
+
+
+def _bind_value(source: sym.Source, viewer: Any, namespace: Dict[str, Any]) -> Any:
     if isinstance(source, sym.ConstVal):
         return source.value
     if isinstance(source, sym.ViewerAttr):
         return _viewer_value(source, viewer)
+    if isinstance(source, sym.GlobalAttr):
+        return _global_value(source, namespace)
     if isinstance(source, sym.ViewerSelf):
         return viewer
-    raise _Demote(f"unbindable source {type(source).__name__}")
+    raise _Demote(f"bind failure: unbindable source {type(source).__name__}")
 
 
 def _bound_literal(column: sym.OwnColumn, value: Any) -> Any:
@@ -600,7 +636,7 @@ def _bound_literal(column: sym.OwnColumn, value: Any) -> Any:
     from repro.form.model import JModel
 
     if isinstance(value, JModel):
-        raise _Demote("model-instance operand binds through JModel.__eq__")
+        raise _Demote("bind failure: model-instance operand")
     if value is None:
         return None
     kind = column.kind
@@ -615,7 +651,9 @@ def _bound_literal(column: sym.OwnColumn, value: Any) -> Any:
     else:
         ok = False
     if not ok:
-        raise _Demote(f"value {value!r} does not match column kind {kind!r}")
+        raise _Demote(
+            f"bind failure: value {value!r} does not match column kind {kind!r}"
+        )
     return value
 
 
@@ -634,9 +672,9 @@ _PY_OPS = {
 _RANGE_SQL = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
-def _fold_viewer_atom(atom: sym.Atom, viewer: Any) -> bool:
+def _fold_atom(atom: sym.Atom, viewer: Any, namespace: Dict[str, Any]) -> bool:
     """Evaluate an atom with no own-column operand to a plain boolean."""
-    lhs = _bind_value(atom.lhs, viewer)
+    lhs = _bind_value(atom.lhs, viewer, namespace)
     try:
         if atom.op == "is-null":
             return lhs is None
@@ -644,18 +682,18 @@ def _fold_viewer_atom(atom: sym.Atom, viewer: Any) -> bool:
             return lhs is not None
         if atom.op == "truthy":
             return bool(lhs)
-        rhs = _bind_value(atom.rhs, viewer)
+        rhs = _bind_value(atom.rhs, viewer, namespace)
         return bool(_PY_OPS[atom.op](lhs, rhs))
     except _Demote:
         raise
     except Exception as error:
         # The oracle would raise evaluating this; let the store tier (same
         # Python evaluation) reproduce the behaviour faithfully.
-        raise _Demote(f"viewer-side evaluation failed: {error}")
+        raise _Demote(f"bind failure: evaluation raised {error!r}")
 
 
 def _bind_atom(
-    atom: sym.Atom, model: type, viewer: Any, colname
+    atom: sym.Atom, model: type, viewer: Any, colname, namespace: Dict[str, Any]
 ) -> "bool | Expression":
     lhs, rhs = atom.lhs, atom.rhs
     if {type(lhs), type(rhs)} == {sym.RowSelf, sym.ViewerSelf}:
@@ -668,7 +706,7 @@ def _bind_atom(
             )
         return atom.op == "ne"
     if not isinstance(lhs, sym.OwnColumn):
-        return _fold_viewer_atom(atom, viewer)
+        return _fold_atom(atom, viewer, namespace)
     column = ColumnRef(colname(lhs.column))
     if atom.op in ("is-null", "not-null"):
         return IsNull(column, negated=atom.op == "not-null")
@@ -680,9 +718,9 @@ def _bind_atom(
             return NullSafeEq(column, other, atom.op == "ne")
         if atom.op in _RANGE_SQL and not lhs.nullable and not rhs.nullable:
             return Comparison(_RANGE_SQL[atom.op], column, other)
-        raise _Demote(f"column/column op {atom.op!r} not renderable")
+        raise _Demote(f"bind failure: column/column op {atom.op!r}")
     if atom.op in ("in", "not-in"):
-        values = _bind_value(rhs, viewer)
+        values = _bind_value(rhs, viewer, namespace)
         members = [
             NullSafeEq(column, Literal(_bound_literal(lhs, item)))
             for item in values
@@ -693,27 +731,30 @@ def _bind_atom(
         for member in members[1:]:
             matched = OrExpr(matched, member)
         return NotExpr(matched) if atom.op == "not-in" else matched
-    value = _bound_literal(lhs, _bind_value(rhs, viewer))
+    value = _bound_literal(lhs, _bind_value(rhs, viewer, namespace))
     if atom.op in ("eq", "ne"):
         return NullSafeEq(column, Literal(value), atom.op == "ne")
     if atom.op == "prefix":
         if not isinstance(value, str):
-            raise _Demote("prefix bound to a non-string value")
+            raise _Demote("bind failure: prefix bound to a non-string value")
         return prefix_range(colname(lhs.column), value)
     if atom.op in _RANGE_SQL:
         if value is None:
-            raise _Demote("range bound to None")
+            raise _Demote("bind failure: range bound to None")
         return Comparison(_RANGE_SQL[atom.op], column, Literal(value))
-    raise _Demote(f"op {atom.op!r} not renderable")
+    raise _Demote(f"bind failure: op {atom.op!r} not renderable")
 
 
 def _bind_predicate(
-    pred: sym.Pred, model: type, viewer: Any, colname
+    pred: sym.Pred, model: type, viewer: Any, colname, namespace: Dict[str, Any]
 ) -> "bool | Expression":
-    """Render IR to a two-valued expression, folding viewer-only parts.
+    """Render IR to a two-valued expression, folding viewer/global parts.
 
+    ``and``/``or`` fold left to right and stop at the first absorbing
+    boolean, so a TOP behind a conjunct that folds false is never reached.
     Returns a plain bool when the whole predicate folds.  Raises
-    :class:`_Demote` when some part cannot be rendered for this viewer.
+    :class:`_Demote` when some part cannot be rendered for this viewer,
+    including a TOP that is reached.
     """
     if isinstance(pred, sym.Const):
         return pred.value
@@ -722,7 +763,7 @@ def _bind_predicate(
         absorbing = not is_and
         parts: List[Expression] = []
         for item in pred.items:
-            bound = _bind_predicate(item, model, viewer, colname)
+            bound = _bind_predicate(item, model, viewer, colname, namespace)
             if isinstance(bound, bool):
                 if bound == absorbing:
                     return absorbing
@@ -735,69 +776,74 @@ def _bind_predicate(
             combined = AndExpr(combined, part) if is_and else OrExpr(combined, part)
         return combined
     if isinstance(pred, sym.Not):
-        bound = _bind_predicate(pred.item, model, viewer, colname)
+        bound = _bind_predicate(pred.item, model, viewer, colname, namespace)
         if isinstance(bound, bool):
             return not bound
         # Sound because every rendered atom is two-valued (IS-family,
         # IS NULL, or ranges over non-nullable columns).
         return NotExpr(bound)
     if isinstance(pred, sym.Atom):
-        return _bind_atom(pred, model, viewer, colname)
-    raise _Demote(f"unrenderable node {type(pred).__name__}")
+        return _bind_atom(pred, model, viewer, colname, namespace)
+    if isinstance(pred, sym.Top):
+        raise _Demote(f"top reached: {pred.reason}")
+    raise _Demote(f"bind failure: unrenderable node {type(pred).__name__}")
 
 
 def _inline_conjunct(
     form: Any, model: type, viewer: Any, qualify: bool, probe: bool = True
-) -> Optional[Expression]:
-    """The direct/indexable-tier conjunct for one model, or ``None`` when a
-    runtime condition demotes this (model, viewer) to the store tier.
+) -> Expression:
+    """The direct/indexable-tier conjunct for one model.
 
-    Soundness gates checked here, per query:
+    Raises :class:`_Demote` with its reason when a runtime condition sends
+    this (model, viewer) query to the store tier.  Soundness gates checked
+    here, per query:
 
-    * the table's facet rows are all canonical single-group branches of
-      this model's one policy group (:meth:`facet_branch_keys`), so the
-      positive/negative branch of every record is selected by one
-      :class:`~repro.db.expr.FacetBranch` match;
-    * the predicate binds against this viewer (attribute chains resolve,
-      values convert, viewer-only atoms fold without error).
+    * the table's facet rows name only their own record's labels of this
+      model's policy groups, canonically ordered
+      (:meth:`~repro.db.engine.Database.facet_branch_keys`), so a
+      :class:`~repro.db.expr.FacetBranch` match selects a record's rows
+      by their label assignment;
+    * every predicate binds against this viewer (attribute chains and
+      globals resolve, values convert, no TOP is reached);
+    * with two or more groups, every predicate folds to a boolean, so the
+      visible rows are those whose ``jvars`` is a sub-assignment of the
+      folded outcomes.
 
-    ``probe=False`` (``explain``) skips the facet-row gate optimistically
-    instead of running its probe statement -- the same stance the store's
-    :meth:`LabelAssignmentStore.predicts` takes for never-attempted pairs.
+    ``probe=False`` (``explain``) skips the facet-row probe statement and
+    uses the gate's verdict only when it is already known -- the same
+    optimistic stance the store's :meth:`LabelAssignmentStore.predicts`
+    takes for never-attempted pairs.
 
-    The conjunct admits: unguarded rows (``jvars = ''``), positive-branch
-    rows where the bound predicate holds, and negative-branch rows where
-    its (two-valued) negation holds.  The predicate provably reads no
-    guarded column, so evaluating it on either facet row of a record gives
-    the record's policy outcome.
+    With one group, the conjunct admits unguarded rows (``jvars = ''``),
+    positive-branch rows where the bound predicate holds, and
+    negative-branch rows where its (two-valued) negation holds.  The
+    predicate provably reads no guarded column, so evaluating it on either
+    facet row of a record gives the record's policy outcome.
     """
     meta = model._meta
     table = meta.table_name
-    profile = profile_for(model)
-    group = meta.policy_groups[0]
-    if probe:
-        try:
-            branch_keys = form.database.facet_branch_keys(table)
-        except Exception:
-            return None
-        if branch_keys is None or not branch_keys <= {group.key}:
-            return None  # exotic labels: only the store understands them
+    branch_keys = form.database.facet_branch_keys(table, probe)
+    if branch_keys is None or not branch_keys <= {
+        group.key for group in meta.policy_groups
+    }:
+        raise _Demote("branch-key gate")  # exotic labels: only the store
     colname = (lambda name: f"{table}.{name}") if qualify else (lambda name: name)
-    try:
-        bound = _bind_predicate(profile.predicate, model, viewer, colname)
-    except _Demote:
-        return None
-    unguarded = eq(colname("jvars"), "")
-    positive = FacetBranch(table, group.key, True, qualify)
-    negative = FacetBranch(table, group.key, False, qualify)
-    if bound is True:
-        return OrExpr(unguarded, positive)
-    if bound is False:
-        return OrExpr(unguarded, negative)
-    return OrExpr(
-        unguarded,
-        OrExpr(AndExpr(positive, bound), AndExpr(negative, NotExpr(bound))),
-    )
+    profile = profile_for(model)
+    predicates = profile.predicates
+    outcomes: Dict[str, bool] = {}
+    for key, pred in predicates.items():
+        bound = _bind_predicate(pred, model, viewer, colname, profile.namespaces[key])
+        if not isinstance(bound, bool):
+            if len(predicates) > 1:
+                raise _Demote("multi-group predicate does not fold")
+            positive = FacetBranch(table, {key: True}, qualify)
+            negative = FacetBranch(table, {key: False}, qualify)
+            return OrExpr(
+                eq(colname("jvars"), ""),
+                OrExpr(AndExpr(positive, bound), AndExpr(negative, NotExpr(bound))),
+            )
+        outcomes[key] = bound
+    return OrExpr(eq(colname("jvars"), ""), FacetBranch(table, outcomes, qualify))
 
 
 # -- the planning entry point ----------------------------------------------------
@@ -810,6 +856,8 @@ class PushdownPlan:
 
     conjuncts: List[Expression]
     tiers: Dict[str, str]
+    #: table -> why its inline tier fell back to the store for this query
+    demoted: Dict[str, str] = field(default_factory=dict)
 
 
 def pruning_conjuncts(
@@ -826,7 +874,9 @@ def pruning_conjuncts(
     profile's static tier is tried first: direct/indexable render the
     compiled predicate inline (no store round-trip); runtime demotion or a
     ``policy_pushdown_tier_cap`` of ``"store"`` falls back to
-    ``jvars = '' OR jvars IN (store slice)``.  ``populate=False`` builds
+    ``jvars = '' OR jvars IN (store slice)``.  A demotion at execution
+    counts ``plan.policy_pushdown.demoted``; its reason lands in the
+    plan's ``demoted`` map, which ``explain()`` reports.  ``populate=False`` builds
     the same predicates without touching the store (``explain``); no
     predicate's SQL depends on the store's *contents*, so the reported
     statement string-equals the executed one.
@@ -862,14 +912,21 @@ def pruning_conjuncts(
     cap = getattr(form, "policy_pushdown_tier_cap", None)
     tiers: Dict[str, str] = {}
     inline: Dict[str, Expression] = {}
+    demoted: Dict[str, str] = {}
     for m in models:
         table = m._meta.table_name
         profile = profile_for(m)
         tier = profile.tier
         if tier in ("direct", "indexable") and cap != "store":
-            conjunct = _inline_conjunct(form, m, viewer, qualify, probe=populate)
-            if conjunct is not None:
-                inline[table] = conjunct
+            try:
+                inline[table] = _inline_conjunct(
+                    form, m, viewer, qualify, probe=populate
+                )
+            except _Demote as demotion:
+                demoted[table] = demotion.reason
+                if populate:
+                    obs.add("plan.policy_pushdown.demoted")
+            else:
                 tiers[table] = tier
                 continue
         # Unpolicied tables ("none") take the store path too: population
@@ -903,4 +960,4 @@ def pruning_conjuncts(
         conjuncts.append(
             OrExpr(eq(column, ""), InSubquery(ColumnRef(column), store_slice))
         )
-    return PushdownPlan(conjuncts, tiers)
+    return PushdownPlan(conjuncts, tiers, demoted)

@@ -68,6 +68,11 @@ COUNTER_GLOSSARY: Dict[str, str] = {
         "policied tables served at the indexable tier: inline predicate "
         "with prefix/range atoms servable from ordered indexes"
     ),
+    "plan.policy_pushdown.demoted": (
+        "policied tables whose inline tier fell back to the label store "
+        "for one query (branch-key gate, bind failure, TOP reached, or a "
+        "multi-group predicate that did not fold); explain() names why"
+    ),
     "plan.index.hash_probe": (
         "memory-engine reads served by a hash-index bucket probe "
         "(=, IN, IS NULL on an indexed column)"

@@ -77,7 +77,7 @@ def test_every_demo_policy_shape_round_trips():
                 app, model.__name__, profile.shapes,
             )
             if profile.tier in ("direct", "indexable"):
-                assert profile.predicate is not None, (app, model.__name__)
+                assert profile.predicates is not None, (app, model.__name__)
         else:
             assert "opaque" in profile.shapes.values(), (
                 app, model.__name__, profile.shapes,
@@ -95,7 +95,7 @@ def test_demo_tiers_are_the_expected_ones():
     assert tiers == {
         "ConfUser": "direct",
         "Paper": "opaque",
-        "Review": "store",
+        "Review": "direct",
         "Course": "opaque",
         "Submission": "store",
         "HealthUser": "opaque",

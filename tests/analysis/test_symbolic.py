@@ -11,12 +11,13 @@ import json
 import os
 
 from repro.analysis import cli
-from repro.analysis.facts import facts_for_source
+from repro.analysis.facts import facts_for_model, facts_for_source
 from repro.analysis.symbolic import (
     And,
     Atom,
     Const,
     ConstVal,
+    GlobalAttr,
     Not,
     Or,
     OwnColumn,
@@ -26,12 +27,16 @@ from repro.analysis.symbolic import (
     atom_text,
     compile_policy,
     contains_top,
+    iter_atoms,
     normalize,
     own_columns,
     predicate_json,
     predicate_text,
+    tops_guarded,
     unsatisfiable,
 )
+
+from repro.form import CharField, JModel, label_for
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
@@ -92,6 +97,112 @@ def test_unmodelled_constructs_become_top_not_errors():
     assert "TOP" in predicate_text(pred)
     # TOP poisons the tree through connectives but never raises.
     assert contains_top(_compile("viewer is not None and mystery(doc)"))
+
+
+def _compile_body(lines: str):
+    """Compile a multi-statement policy body over the same typed model."""
+    body = "\n".join("        " + line for line in lines.strip().splitlines())
+    source = f'''
+class Doc(JModel):
+    score = IntegerField()
+
+    @staticmethod
+    @label_for("score")
+    def restrict(doc, viewer):
+{body}
+'''
+    model = facts_for_source(source, "m.py").models[0]
+    return compile_policy(model.groups[0], model)
+
+
+PHASE = GlobalAttr(("Phase", "current"))
+
+
+def test_if_return_chain_compiles_left_to_right():
+    pred = _compile_body('''
+if Phase.current == "final":
+    return True
+return doc.score > 3
+''')
+    final = Atom("eq", PHASE, ConstVal("final"))
+    assert pred == Or((
+        final,
+        And((Atom("ne", PHASE, ConstVal("final")),
+             Atom("gt", OwnColumn("score", "int"), ConstVal(3)))),
+    ))
+
+
+def test_module_names_and_attribute_chains_are_globals():
+    assert _compile("STRICT") == Atom("truthy", GlobalAttr(("STRICT",)))
+    assert _compile("Phase.current == viewer.phase") == Atom(
+        "eq", PHASE, ViewerAttr(("phase",))
+    )
+
+
+def test_a_local_assigned_only_on_another_branch_is_not_a_global():
+    pred = _compile_body('''
+if viewer is None:
+    limit = 3
+return limit == 3
+''')
+    # On the branch that skips the assignment Python raises; never read a
+    # module global of the same name there.
+    assert "limit" not in predicate_text(pred).replace("TOP", "")
+    assert contains_top(pred)
+
+
+#: Module globals sharing names with the closure cells below.
+LEVEL = "module"
+
+
+def level_ok(viewer):
+    return viewer.level == LEVEL
+
+
+def _closure_policy_model(LEVEL, level_ok):
+    """A live model whose policy reads names captured from this call."""
+
+    class ClosureDoc(JModel):
+        title = CharField(max_length=64)
+
+        @staticmethod
+        @label_for("title")
+        def restrict(doc, viewer):
+            return viewer.level == LEVEL or level_ok(viewer)
+
+    return ClosureDoc
+
+
+def test_closure_captured_names_are_not_globals():
+    model = _closure_policy_model("closure", lambda viewer: True)
+    facts = facts_for_model(model)
+    (group,) = facts.groups
+    assert set(group.freevars) == {"LEVEL", "level_ok"}
+    assert group.namespace is globals()
+    # Python reads both names from the closure cells, so neither may bind
+    # (or inline) the same-named module global.
+    pred = compile_policy(group, facts)
+    assert not tops_guarded(pred)
+    assert all(
+        GlobalAttr(("LEVEL",)) not in (atom.lhs, atom.rhs)
+        for atom in iter_atoms(pred)
+    )
+    assert predicate_text(pred).count("TOP") == 2
+
+
+def test_tops_behind_a_globals_only_conjunct_are_guarded():
+    pred = _compile_body('''
+if Phase.current != "final":
+    return False
+return lookup(doc) and viewer is not None
+''')
+    assert contains_top(pred) and tops_guarded(pred)
+    unguarded = _compile_body('''
+if viewer is None:
+    return False
+return lookup(doc)
+''')
+    assert contains_top(unguarded) and not tops_guarded(unguarded)
 
 
 def test_normalize_flattens_folds_and_cancels():

@@ -247,3 +247,38 @@ def test_fragment_cache_cleared_on_write_and_epoch():
     cache.put(key, "<body>")
     bump_policy_epoch()
     assert cache.get(key) is None
+
+
+def test_label_cache_invalidation_is_a_generation_bump():
+    """A write expires every memoised outcome without touching them: the
+    entries stay in the LRU under their old generation's key (evicted
+    first), are never served, and a lookup is a plain miss."""
+    bus = InvalidationBus()
+    cache = LabelResolutionCache()
+    cache.bind(bus)
+    for jid in range(3):
+        cache.put("Paper.1.author", ("ConfUser", jid), True)
+    assert len(cache) == 3
+    bus.publish("Review")
+    assert len(cache) == 0 and len(cache._lru) == 3
+    misses = cache.stats.misses
+    assert cache.get("Paper.1.author", ("ConfUser", 0)) is None
+    assert (cache.stats.hits, cache.stats.misses) == (0, misses + 1)
+    cache.put("Paper.1.author", ("ConfUser", 0), False)
+    assert cache.get("Paper.1.author", ("ConfUser", 0)) is False
+    assert len(cache) == 1
+
+
+def test_label_cache_evicts_old_generations_first():
+    bus = InvalidationBus()
+    cache = LabelResolutionCache(max_entries=3)
+    cache.bind(bus)
+    for jid in range(3):
+        cache.put("Paper.1.author", ("ConfUser", jid), True)
+    bus.publish("Review")
+    for jid in range(3):
+        cache.put("Paper.2.author", ("ConfUser", jid), False)
+    assert len(cache) == 3 and len(cache._lru) == 3
+    assert all(
+        cache.get("Paper.2.author", ("ConfUser", jid)) is False for jid in range(3)
+    )

@@ -223,8 +223,8 @@ def test_profiles_report_the_symbolic_tier():
     assert profile_for(Audit).tier == "store"  # ORM query in the body: TOP
     assert profile_for(Vault).tier == "opaque"
     assert profile_for(Owner).tier == "none"  # no policy groups at all
-    assert profile_for(Doc).predicate is not None
-    assert profile_for(Audit).predicate is None
+    assert profile_for(Doc).predicates is not None
+    assert profile_for(Audit).predicates is None
 
 
 def test_fetch_is_one_statement_with_parity(pushdown_form):

@@ -19,7 +19,13 @@ the list-level foreign-key batch must resolve what a per-instance
 The model set covers all inline tiers: ``FuzzDoc`` is the direct shape
 (equality on the viewer's jid), ``FuzzOrgDoc`` the indexable shape
 (``path.startswith(viewer.path)``), ``FuzzAudit`` stays store-only (its
-policy queries another model).
+policy queries another model), and ``FuzzPair`` is a two-group direct
+model: one group sits behind the module-level :class:`FuzzSwitch` with a
+TOP branch (an ORM lookup) behind it, the other folds for some viewers and
+reads the row for the rest.  Programs flip the switch (through
+``bump_policy_epoch()``), so both the bind-time fold and the demotion to
+the label store run, and some pair creates store a public value equal to
+the secret one, which leaves rows naming only the other group's label.
 
 On failure the seed is printed, the failing program is greedily shrunk,
 and the repro is emitted as a paste-able test case calling
@@ -34,6 +40,7 @@ import random
 
 import pytest
 
+from repro.cache import bump_policy_epoch
 from repro.cache.config import CacheConfig
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend
@@ -111,7 +118,57 @@ class FuzzAudit(JModel):
         return owner is not None and ctxt is not None and owner.jid == ctxt.jid
 
 
-MODELS = [FuzzOwner, FuzzDoc, FuzzOrgDoc, FuzzAudit]
+class FuzzSwitch:
+    """A module-level policy input; every flip bumps the policy epoch."""
+
+    strict = False
+
+
+#: viewer paths that see FuzzPair notes while the switch is off
+NOTE_PATHS = ("/eng", "/eng/db")
+
+
+class FuzzPair(JModel):
+    """Two policy groups: the direct tier with bind-time folding."""
+
+    owner = ForeignKey(FuzzOwner)
+    note = CharField(max_length=64)
+    tag = CharField(max_length=64)
+
+    @staticmethod
+    def jacqueline_get_public_note(pair):
+        return "[note]"
+
+    @staticmethod
+    def jacqueline_get_public_tag(pair):
+        return "[tag]"
+
+    @staticmethod
+    @label_for("note")
+    @jacqueline
+    def jacqueline_restrict_note(pair, ctxt):
+        if FuzzSwitch.strict:
+            owner = FuzzOwner.objects.get(jid=pair.owner_id)
+            return owner is not None and ctxt is not None and owner.jid == ctxt.jid
+        return ctxt is not None and ctxt.path in ("/eng", "/eng/db")
+
+    @staticmethod
+    @label_for("tag")
+    @jacqueline
+    def jacqueline_restrict_tag(pair, ctxt):
+        return ctxt is not None and (ctxt.name == "ada" or pair.owner_id == ctxt.jid)
+
+
+def _pair_visible(pair, viewer):
+    """The expected ``(note, tag)`` visibility, independent of any path."""
+    if FuzzSwitch.strict:
+        note = pair.owner_id == viewer.jid
+    else:
+        note = viewer.path in NOTE_PATHS
+    return note, viewer.name == "ada" or pair.owner_id == viewer.jid
+
+
+MODELS = [FuzzOwner, FuzzDoc, FuzzOrgDoc, FuzzAudit, FuzzPair]
 AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 ORG_PATHS = ("/", "/eng", "/eng/db", "/ops")
 #: pushdown configurations compared pairwise against the "off" oracle
@@ -129,6 +186,9 @@ def _gen_program(rng, length=16):
         ("create_owner", "bob", "/ops"),
     ]
     for _ in range(length):
+        if rng.random() < 0.25:
+            program.append(_gen_pair_op(rng))
+            continue
         roll = rng.random()
         if roll < 0.14:
             program.append(
@@ -176,6 +236,29 @@ def _gen_program(rng, length=16):
     return program
 
 
+def _gen_pair_op(rng):
+    """One FuzzPair op.  A create keeps the public value for one of its
+    fields a third of the time (a one-label record)."""
+    roll = rng.random()
+    if roll < 0.4:
+        keep = rng.randrange(3)
+        note = "[note]" if keep == 0 else f"n{rng.randrange(100)}"
+        tag = "[tag]" if keep == 1 else f"t{rng.randrange(100)}"
+        return ("create_pair", rng.randrange(4), note, tag)
+    if roll < 0.55:
+        return ("flip_switch",)
+    if roll < 0.6:
+        return ("guarded_pair", rng.randrange(4), f"g{rng.randrange(100)}")
+    if roll < 0.85:
+        return ("fetch_pairs", rng.randrange(4))
+    return ("count_pairs", rng.randrange(4))
+
+
+def _set_switch(strict):
+    FuzzSwitch.strict = strict
+    bump_policy_epoch()
+
+
 # -- program execution ---------------------------------------------------------------
 
 
@@ -198,6 +281,7 @@ def _run_program(kind, program, config):
     leaks = []
     fk_mismatches = []
     owners = []
+    _set_switch(False)
     with use_form(form):
         for op in program:
             name, args = op[0], op[1:]
@@ -276,6 +360,40 @@ def _run_program(kind, program, config):
                 observables.append(
                     sorted((doc.jid, doc.path, doc.body) for doc in docs)
                 )
+            elif name == "create_pair":
+                owner = owners[args[0] % len(owners)]
+                FuzzPair.objects.create(owner=owner, note=args[1], tag=args[2])
+            elif name == "guarded_pair":
+                owner = owners[args[0] % len(owners)]
+                label = Label(hint="fuzzpair")
+                form.runtime.policy_env.declare(label)
+                form.runtime.policy_env.restrict(
+                    label,
+                    lambda viewer, name=owner.name: (
+                        getattr(viewer, "name", None) == name
+                    ),
+                )
+                with form.runtime.under_branch(label, True):
+                    FuzzPair.objects.create(owner=owner, note=args[1], tag=args[1])
+            elif name == "flip_switch":
+                _set_switch(not FuzzSwitch.strict)
+            elif name == "fetch_pairs":
+                viewer = owners[args[0] % len(owners)]
+                with viewer_context(viewer):
+                    pairs = FuzzPair.objects.all().fetch()
+                for pair in pairs:
+                    note_ok, tag_ok = _pair_visible(pair, viewer)
+                    if (pair.note != "[note]" and not note_ok) or (
+                        pair.tag != "[tag]" and not tag_ok
+                    ):
+                        leaks.append((op, pair.jid, pair.note, pair.tag))
+                observables.append(
+                    sorted((pair.jid, pair.note, pair.tag) for pair in pairs)
+                )
+            elif name == "count_pairs":
+                viewer = owners[args[0] % len(owners)]
+                with viewer_context(viewer):
+                    observables.append(FuzzPair.objects.all().count())
             elif name == "fetch_audits":
                 viewer = owners[args[0] % len(owners)]
                 with viewer_context(viewer):
@@ -286,6 +404,7 @@ def _run_program(kind, program, config):
                 observables.append(sorted((a.jid, a.body) for a in audits))
             else:  # pragma: no cover - generator and runner must agree
                 raise ValueError(f"unknown op {name!r}")
+    _set_switch(False)
     database.close()
     return observables, leaks, fk_mismatches
 
